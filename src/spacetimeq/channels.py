@@ -163,22 +163,9 @@ class ChoiFlags:
 
 
 def choi_of_channel(ch: KrausChannel) -> ChoiOperator:
-    """Choi matrix sum_{ij} E(|i><j|) (x) |i><j|."""
-    d0, d1 = ch.in_dim, ch.out_dim
-    m = np.zeros((d1 * d0, d1 * d0), dtype=complex)
-    for k in ch.operators:
-        # E(|i><j|) = K |i><j| K^dag, so vec of K plays the entangled role
-        v = np.zeros((d1 * d0,), dtype=complex)
-        for i in range(d0):
-            v += np.kron(k[:, i], _basis(d0, i))
-        m += np.outer(v, v.conj())
-    return ChoiOperator(matrix=m, dims=(d1, d0))
-
-
-def _basis(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
+    """Choi matrix sum_{ij} E(|i><j|) (x) |i><j| = sum_k vec(K) vec(K)^dag, vec(K) = K.ravel()."""
+    m = sum(np.outer(k.ravel(), k.ravel().conj()) for k in ch.operators)
+    return ChoiOperator(matrix=m, dims=(ch.out_dim, ch.in_dim))
 
 
 def channel_of_choi(c: ChoiOperator):

@@ -1,107 +1,186 @@
-"""Batch experiment runner.
+"""Batch experiment runner: ``spacetimeq GROUP COMMAND [flags]`` runs experiment ``group.command``.
 
-Every experiment is addressed as ``group.command`` (on the command line:
-``spacetimeq GROUP COMMAND [flags]``), takes its parameters from flags or
-from a JSON config document (flags win), and writes a self-describing JSON
-payload or CSV table to stdout or ``--out``.
-
-Exit codes: 0 success, 2 validation error, 3 invariant violation detected,
-4 I/O failure. Seeds are mandatory for stochastic experiments.
+``EXPERIMENTS`` is the one table of them (``game`` is an alias of ``process``): body function,
+typed parameters with defaults and domains, and CSV rows builder. ``main`` parses with the tree
+``build_parser`` makes from it, merges a JSON config under the explicit flags, checks every domain,
+and stamps ``experiment`` and every resolved parameter (``params``) onto the payload, written as
+JSON or CSV to stdout or ``--out``. Exit codes: 0 success, 2 validation error, 3 invariant
+violation, 4 I/O failure. Seeds are mandatory for stochastic experiments.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from spacetimeq import (
-    channels,
-    cv_wigner,
-    gaussian,
-    histories,
-    linalg,
-    otoc,
-    pdm,
-    process_matrix,
-    timecrystal,
-)
+from spacetimeq import (channels, cv_wigner, gaussian, histories, linalg, otoc, pdm, process_matrix,
+                        timecrystal)
 
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_INVARIANT = 3
-EXIT_IO = 4
+EXIT_OK, EXIT_VALIDATION, EXIT_INVARIANT, EXIT_IO = 0, 2, 3, 4
+
+#: Bounds of ``process vertices``: the most vertices ``--enumerate`` lists (about 8 us and 0.75 kB
+#: each), and the largest log2 of the closed-form count it computes (about 1200 digits)
+MAX_ENUMERATED_VERTICES, MAX_COUNT_BITS = 100_000, 4096
 
 OBS_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
 
-QUBIT_STATES = {
-    "zero": np.diag([1.0, 0.0]).astype(complex),
-    "one": np.diag([0.0, 1.0]).astype(complex),
-    "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    "mixed": np.eye(2, dtype=complex) / 2.0,
+QUBIT_STATES = {"zero": np.diag([1.0, 0.0]).astype(complex), "one": np.diag([0.0, 1.0]).astype(complex),
+                "plus": np.full((2, 2), 0.5, dtype=complex), "mixed": np.eye(2, dtype=complex) / 2.0}
+FIXED_UNITARIES = {"identity": np.eye(2, dtype=complex),
+                   "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)}
+
+# constructors of the ``name[:arg]`` specs of Gaussian states and symplectic steps
+GAUSSIAN_STATES = {
+    "vacuum": lambda arg: gaussian.vacuum(),
+    "thermal": lambda arg: gaussian.thermal(float(arg or 1.0)),
+    "tmss": lambda arg: gaussian.two_mode_squeezed(float(arg or 1.0)),
+}
+SYMPLECTIC_STEPS = {
+    "identity": lambda arg: np.eye(2),
+    "rotation": lambda arg: gaussian.rotation_symplectic(float(arg or 0.0)),
+    "squeeze": lambda arg: gaussian.squeeze_symplectic(float(arg or 0.0)),
 }
 
 
 class InvariantViolation(RuntimeError):
-    def __init__(self, message: str, payload: dict | None = None):
+    def __init__(self, message: str, payload: dict):
         super().__init__(message)
         self.payload = payload
 
 
+@dataclasses.dataclass(frozen=True)
+class Param:
+    """A declared parameter: flag, text conversion, default and domain (``lo``
+    inclusive, or ``choices``). A ``bool`` one is a switch storing ``not default``;
+    ``None`` (unset) is allowed only where it is the default."""
+
+    flag: str
+    type: Callable = str
+    default: object = None
+    lo: float | None = None
+    choices: tuple = ()
+    help: str | None = None
+    dest: str | None = None
+    aliases: tuple = ()
+
+    @property
+    def name(self) -> str:
+        return self.dest or self.flag[2:]
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        kind = ({"action": "store_false" if self.default else "store_true"} if self.type is bool
+                else {"type": self.type, "choices": self.choices or None, "help": self.help})
+        parser.add_argument(self.flag, *self.aliases, dest=self.name, default=argparse.SUPPRESS, **kind)
+
+    def check(self, value) -> None:
+        if value is None:
+            if self.default is not None:
+                raise ValueError(f"{self.flag} needs a value")
+        elif self.type is bool:
+            if not isinstance(value, bool):
+                raise ValueError(f"{self.flag} takes true or false, got {value!r}")
+        elif self.choices and value not in self.choices:
+            raise ValueError(f"{self.flag} must be one of {'|'.join(self.choices)}, got {value!r}")
+        elif self.lo is not None and not value >= self.lo:
+            raise ValueError(f"{self.flag} must be >= {self.lo}, got {value}")
+
+
+class Experiment(NamedTuple):
+    run: Callable  # resolved parameters -> payload body
+    params: tuple
+    rows: Callable | None = None  # (parameters, body) -> CSV rows
+
+
+#: ``group.command`` -> Experiment, declared by ``@experiment`` in catalog order
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def experiment(name: str, *params: Param, rows: Callable | None = None):
+    def declare(run: Callable) -> Callable:
+        EXPERIMENTS[name] = Experiment(run, params, rows)
+        return run
+    return declare
+
+
+STATE = Param("--state", default="zero", choices=tuple(QUBIT_STATES))
+SEED = Param("--seed", int)
+TOL = Param("--tol", float, 1e-8)
+P = Param("--p", float)
+LAM = Param("--lam", float, aliases=("--lambda",))
+PDM_PARAMS = (STATE, Param("--steps", default="identity",
+                           help="comma list: identity, depolarizing:p, dephasing:l, haar, hadamard"), SEED)
+CHANNEL_PARAMS = (Param("--channel", default="depolarizing",
+                        choices=("identity", "depolarizing", "dephasing", "haar", "hadamard")),
+                  P, LAM, SEED)
+CV_CHANNEL = Param("--channel", default="identity", choices=("identity", "phase-damping"))
+NMAX = Param("--nmax", int, 40, lo=2)
+HISTORY_PARAMS = (STATE, Param("--paulis", default="Z,Z"),
+                  Param("--unitary", default="identity", choices=("identity", "hadamard", "haar")),
+                  SEED, TOL)
+FLOQUET_PARAMS = (Param("--length", int, 8), Param("--epsilon", float, 0.05), Param("--site", int, 3),
+                  Param("--periods", int, 64, lo=0),
+                  Param("--no-interactions", bool, True, dest="interactions"), SEED)
+# the global flags, accepted after the command too; unset ones keep the global values
+OUTPUT_PARAMS = (Param("--format", choices=("json", "csv")),
+                 Param("--out", help="write the payload to a file"),
+                 Param("--config", help="JSON config supplying defaults"))
+
+
 def _fmt_float(x) -> str:
-    if isinstance(x, float):
-        if x != 0.0 and abs(x) < 1e-4:
-            return f"{x:.12e}"
-        return repr(x)
-    return str(x)
+    if not isinstance(x, float):
+        return str(x)
+    return f"{x:.12e}" if x != 0.0 and abs(x) < 1e-4 else repr(x)
 
 
-def _make_channel(name: str, p: float | None, lam: float | None, seed: int | None):
-    if name == "identity":
-        return channels.identity_channel()
-    if name == "depolarizing":
-        if p is None:
-            raise ValueError("--p is required for the depolarizing channel")
-        return channels.depolarizing(p)
-    if name == "dephasing":
-        if lam is None:
-            raise ValueError("--lam is required for the dephasing channel")
-        return channels.dephasing(lam)
+def _require(ok: bool, message: str, body: dict) -> dict:
+    if not ok:
+        raise InvariantViolation(message, body)
+    return body
+
+
+def _unitary(name: str, seed: int | None, offset: int = 0, d: int = 2) -> np.ndarray:
+    """A named qubit unitary, or a Haar-random d x d one drawn from ``seed + offset``."""
     if name == "haar":
         if seed is None:
-            raise ValueError("--seed is required for a Haar-random step")
-        return channels.unitary_channel(linalg.haar_random_unitary(2, seed))
-    if name == "hadamard":
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        return channels.unitary_channel(h)
-    raise ValueError(f"unknown channel {name!r}")
+            raise ValueError("--seed is required for a Haar-random unitary")
+        return linalg.haar_random_unitary(d, seed + offset)
+    if name not in FIXED_UNITARIES:
+        raise ValueError(f"unknown unitary {name!r}")
+    return FIXED_UNITARIES[name]
 
 
-def _steps_from_spec(spec: str, seed: int | None):
+def _make_channel(name: str, p: float | None, lam: float | None, seed: int | None, offset: int = 0):
+    if name in ("depolarizing", "dephasing"):
+        flag, value = ("--p", p) if name == "depolarizing" else ("--lam", lam)
+        if value is None:
+            raise ValueError(f"{flag} is required for the {name} channel")
+        return channels.depolarizing(value) if name == "depolarizing" else channels.dephasing(value)
+    return channels.unitary_channel(_unitary(name, seed, offset))
+
+
+def _temporal_process(p) -> pdm.TemporalProcess:
+    """``--state`` followed by the ``--steps`` channels; step k draws from seed + k."""
     steps = []
-    for k, part in enumerate(spec.split(",")):
-        token = part.strip()
-        if not token:
-            continue
-        name, _, arg = token.partition(":")
-        p = lam = None
-        if name == "depolarizing" and arg:
-            p = float(arg)
-        if name == "dephasing" and arg:
-            lam = float(arg)
-        sub_seed = None if seed is None else seed + k
-        steps.append(_make_channel(name, p, lam, sub_seed))
-    return steps
+    for k, token in enumerate(part.strip() for part in p.steps.split(",")):
+        if token:
+            name, _, arg = token.partition(":")
+            value = float(arg) if arg and name in ("depolarizing", "dephasing") else None
+            steps.append(_make_channel(name, value, value, p.seed, k))
+    return pdm.TemporalProcess(QUBIT_STATES[p.state], steps)
 
 
-def _qubit_state(name: str) -> np.ndarray:
-    if name not in QUBIT_STATES:
-        raise ValueError(f"unknown state {name!r}; choose from {sorted(QUBIT_STATES)}")
-    return QUBIT_STATES[name]
+def _from_spec(spec: str, makers: dict, what: str):
+    name, _, arg = spec.partition(":")
+    if name not in makers:
+        raise ValueError(f"unknown {what} {spec!r}")
+    return makers[name](arg)
 
 
 def _parse_complex(text: str) -> complex:
@@ -109,828 +188,361 @@ def _parse_complex(text: str) -> complex:
     return complex(float(re_part), float(im_part or 0.0))
 
 
-# -- experiment handlers -------------------------------------------------------
-# each handler returns (payload_dict, rows or None); rows drive the CSV format
+def _paulis(spec: str) -> list:
+    return [OBS_INDEX[t.strip().upper()] for t in spec.split(",")]
 
 
-def run_pdm_build(args):
-    proc = pdm.TemporalProcess(_qubit_state(args.state), _steps_from_spec(args.steps, args.seed))
-    r = pdm.build_pdm(proc)
-    payload = {
-        "experiment": "pdm.build",
-        "params": {"state": args.state, "steps": args.steps, "seed": args.seed},
-        "matrix_real": np.real(r.matrix).tolist(),
-        "matrix_imag": np.imag(r.matrix).tolist(),
-        "trace": float(np.real(np.trace(r.matrix))),
-    }
-    return payload, None
+# -- the experiments, in catalog order; each returns its payload body ------------
 
+@experiment("pdm.build", *PDM_PARAMS)
+def _pdm_build(p):
+    m = pdm.build_pdm(_temporal_process(p)).matrix
+    return {"matrix_real": np.real(m).tolist(), "matrix_imag": np.imag(m).tolist(),
+            "trace": float(np.real(np.trace(m)))}
 
-def run_pdm_eigen(args):
-    proc = pdm.TemporalProcess(_qubit_state(args.state), _steps_from_spec(args.steps, args.seed))
-    r = pdm.build_pdm(proc)
-    eigs = linalg.hermitian_eigenvalues(r.matrix).tolist()
-    payload = {
-        "experiment": "pdm.eigen",
-        "params": {"state": args.state, "steps": args.steps, "seed": args.seed},
-        "eigenvalues": eigs,
-    }
-    rows = [
-        {"state": args.state, "steps": args.steps, "index": i, "eigenvalue": v}
-        for i, v in enumerate(eigs)
-    ]
-    return payload, rows
+@experiment("pdm.eigen", *PDM_PARAMS, rows=lambda p, body: [
+    {"state": p.state, "steps": p.steps, "index": i, "eigenvalue": v}
+    for i, v in enumerate(body["eigenvalues"])])
+def _pdm_eigen(p):
+    m = pdm.build_pdm(_temporal_process(p)).matrix
+    return {"eigenvalues": linalg.hermitian_eigenvalues(m).tolist()}
 
+@experiment("pdm.correlation", *PDM_PARAMS, Param("--paulis", default="Z,Z", help="comma list like Z,Z"))
+def _pdm_correlation(p):
+    return {"correlation": pdm.event_correlation(_temporal_process(p), _paulis(p.paulis))}
 
-def run_pdm_correlation(args):
-    proc = pdm.TemporalProcess(_qubit_state(args.state), _steps_from_spec(args.steps, args.seed))
-    paulis = [OBS_INDEX[t.strip().upper()] for t in args.paulis.split(",")]
-    value = pdm.event_correlation(proc, paulis)
-    payload = {
-        "experiment": "pdm.correlation",
-        "params": {"state": args.state, "steps": args.steps, "paulis": args.paulis, "seed": args.seed},
-        "correlation": value,
-    }
-    return payload, None
+@experiment("pdm.monotone", *PDM_PARAMS)
+def _pdm_monotone(p):
+    return {"causality_monotone": pdm.causality_monotone(pdm.build_pdm(_temporal_process(p)))}
 
+@experiment("pdm.tetra", *PDM_PARAMS)
+def _pdm_tetra(p):
+    point = pdm.tetrahedron_point(_temporal_process(p))
+    return {"point": [point.t11, point.t22, point.t33], **dataclasses.asdict(pdm.classify(point))}
 
-def run_pdm_monotone(args):
-    proc = pdm.TemporalProcess(_qubit_state(args.state), _steps_from_spec(args.steps, args.seed))
-    r = pdm.build_pdm(proc)
-    payload = {
-        "experiment": "pdm.monotone",
-        "params": {"state": args.state, "steps": args.steps, "seed": args.seed},
-        "causality_monotone": pdm.causality_monotone(r),
-    }
-    return payload, None
+def _gaussian_body(state: gaussian.GaussianState) -> dict:
+    return {"mean": state.mean.tolist(), "cov": state.cov.tolist(),
+            "uncertainty_ok": gaussian.uncertainty_ok(state.cov)}
 
+@experiment("gaussian.state", Param("--kind", default="vacuum", help="vacuum|thermal:n|tmss:r"))
+def _gaussian_state(p):
+    return _gaussian_body(_from_spec(p.kind, GAUSSIAN_STATES, "gaussian state"))
 
-def run_pdm_tetra(args):
-    proc = pdm.TemporalProcess(_qubit_state(args.state), _steps_from_spec(args.steps, args.seed))
-    point = pdm.tetrahedron_point(proc)
-    member = pdm.classify(point)
-    payload = {
-        "experiment": "pdm.tetra",
-        "params": {"state": args.state, "steps": args.steps, "seed": args.seed},
-        "point": [point.t11, point.t22, point.t33],
-        "in_spatial": member.in_spatial,
-        "in_temporal": member.in_temporal,
-    }
-    return payload, None
+@experiment("gaussian.temporal", Param("--initial", default="vacuum"),
+            Param("--step", default="identity", help="identity|rotation:t|squeeze:r"))
+def _gaussian_temporal(p):
+    initial = _from_spec(p.initial, GAUSSIAN_STATES, "gaussian state")
+    step = _from_spec(p.step, SYMPLECTIC_STEPS, "symplectic step")
+    return _gaussian_body(gaussian.temporal_gaussian(initial, step))
 
+@experiment("gaussian.uncertainty", Param("--kind", default="vacuum"))
+def _gaussian_uncertainty(p):
+    state = _from_spec(p.kind, GAUSSIAN_STATES, "gaussian state")
+    return {"uncertainty_ok": gaussian.uncertainty_ok(state.cov)}
 
-def run_gaussian_state(args):
-    state = _gaussian_initial(args.kind)
-    payload = {
-        "experiment": "gaussian.state",
-        "params": {"kind": args.kind},
-        "mean": state.mean.tolist(),
-        "cov": state.cov.tolist(),
-        "uncertainty_ok": gaussian.uncertainty_ok(state.cov),
-    }
-    return payload, None
-
-
-def _gaussian_initial(kind: str) -> gaussian.GaussianState:
-    name, _, arg = kind.partition(":")
-    if name == "vacuum":
-        return gaussian.vacuum()
-    if name == "thermal":
-        return gaussian.thermal(float(arg or 1.0))
-    if name == "tmss":
-        return gaussian.two_mode_squeezed(float(arg or 1.0))
-    raise ValueError(f"unknown gaussian state {kind!r}")
-
-
-def _gaussian_step(spec: str) -> np.ndarray:
-    name, _, arg = spec.partition(":")
-    if name == "identity":
-        return np.eye(2)
-    if name == "rotation":
-        return gaussian.rotation_symplectic(float(arg or 0.0))
-    if name == "squeeze":
-        return gaussian.squeeze_symplectic(float(arg or 0.0))
-    raise ValueError(f"unknown symplectic step {spec!r}")
-
-
-def run_gaussian_temporal(args):
-    initial = _gaussian_initial(args.initial)
-    st = gaussian.temporal_gaussian(initial, _gaussian_step(args.step))
-    payload = {
-        "experiment": "gaussian.temporal",
-        "params": {"initial": args.initial, "step": args.step},
-        "mean": st.mean.tolist(),
-        "cov": st.cov.tolist(),
-        "uncertainty_ok": gaussian.uncertainty_ok(st.cov),
-    }
-    return payload, None
-
-
-def run_gaussian_uncertainty(args):
-    initial = _gaussian_initial(args.kind)
-    payload = {
-        "experiment": "gaussian.uncertainty",
-        "params": {"kind": args.kind},
-        "uncertainty_ok": gaussian.uncertainty_ok(initial.cov),
-    }
-    return payload, None
-
-
-def run_gaussian_pt(args):
-    r = args.r
-    omts = gaussian.temporal_gaussian(gaussian.thermal(np.sinh(r) ** 2), np.eye(2))
-    tmss = gaussian.two_mode_squeezed(r)
+@experiment("gaussian.pt", Param("--r", float, 3.0), Param("--tol", float, 2e-5))
+def _gaussian_pt(p):
+    omts = gaussian.temporal_gaussian(gaussian.thermal(np.sinh(p.r) ** 2), np.eye(2))
     pt = gaussian.partial_transpose_gaussian(omts.cov, 0)
-    rel = float(np.max(np.abs(pt - tmss.cov)) / np.cosh(2 * r))
-    payload = {
-        "experiment": "gaussian.pt",
-        "params": {"r": r},
-        "max_relative_entry_error": rel,
-        "pt_matches_tmss": bool(rel <= args.tol),
-    }
-    if not payload["pt_matches_tmss"]:
-        raise InvariantViolation(f"partial transpose mismatch {rel} above tol {args.tol}", payload)
-    return payload, None
+    rel = float(np.max(np.abs(pt - gaussian.two_mode_squeezed(p.r).cov)) / np.cosh(2 * p.r))
+    return _require(rel <= p.tol, f"partial transpose mismatch {rel} above tol {p.tol}",
+                    {"max_relative_entry_error": rel, "pt_matches_tmss": bool(rel <= p.tol)})
 
+def _vacuum_and_channel(p):
+    damped = p.channel == "phase-damping"
+    ch = cv_wigner.fock_phase_damping(p.nmax) if damped else channels.identity_channel(p.nmax)
+    return np.diag(np.eye(p.nmax, dtype=complex)[0]), ch  # the Fock vacuum |0><0|
 
-def run_cvwigner_point(args):
-    n_max = args.nmax
-    rho = np.zeros((n_max, n_max), dtype=complex)
-    rho[0, 0] = 1.0
-    ch = (
-        cv_wigner.fock_phase_damping(n_max)
-        if args.channel == "phase-damping"
-        else channels.identity_channel(n_max)
-    )
-    val = cv_wigner.spacetime_wigner_point(
-        rho, ch, _parse_complex(args.alpha), _parse_complex(args.beta), n_max
-    )
-    payload = {
-        "experiment": "cv-wigner.point",
-        "params": {"alpha": args.alpha, "beta": args.beta, "channel": args.channel, "nmax": n_max},
-        "wigner": val,
-    }
-    return payload, None
+@experiment("cv-wigner.point", Param("--alpha", default="0,0", help="re,im"),
+            Param("--beta", default="0,0"), CV_CHANNEL, NMAX)
+def _cv_point(p):
+    alpha, beta = _parse_complex(p.alpha), _parse_complex(p.beta)
+    return {"wigner": cv_wigner.spacetime_wigner_point(*_vacuum_and_channel(p), alpha, beta, p.nmax)}
 
+@experiment("cv-wigner.normcheck", CV_CHANNEL, Param("--radius", float, 4.0),
+            Param("--points", int, 64, lo=1), NMAX, Param("--tol", float, 0.02))
+def _cv_normcheck(p):
+    val = cv_wigner.wigner_normalization_check(*_vacuum_and_channel(p), p.radius, p.points, p.nmax)
+    return _require(abs(val - 1.0) <= p.tol, f"normalization {val} deviates beyond {p.tol}",
+                    {"normalization": val, "within_tolerance": bool(abs(val - 1.0) <= p.tol)})
 
-def run_cvwigner_normcheck(args):
-    n_max = args.nmax
-    rho = np.zeros((n_max, n_max), dtype=complex)
-    rho[0, 0] = 1.0
-    ch = (
-        cv_wigner.fock_phase_damping(n_max)
-        if args.channel == "phase-damping"
-        else channels.identity_channel(n_max)
-    )
-    val = cv_wigner.wigner_normalization_check(rho, ch, args.radius, args.points, n_max)
-    payload = {
-        "experiment": "cv-wigner.normcheck",
-        "params": {
-            "channel": args.channel,
-            "radius": args.radius,
-            "points": args.points,
-            "nmax": n_max,
-        },
-        "normalization": val,
-        "within_tolerance": bool(abs(val - 1.0) <= args.tol),
-    }
-    if not payload["within_tolerance"]:
-        raise InvariantViolation(f"normalization {val} deviates beyond {args.tol}", payload)
-    return payload, None
-
-
-def run_process_validate(args):
-    if args.which == "ocb":
-        w = process_matrix.ocb_process()
-    elif args.which == "identity":
-        w = process_matrix.identity_process()
-    else:
-        raise ValueError(f"unknown process {args.which!r}")
+@experiment("process.validate", Param("--which", default="ocb", choices=("ocb", "identity")))
+def _process_validate(p):
+    w = process_matrix.ocb_process() if p.which == "ocb" else process_matrix.identity_process()
     v = process_matrix.is_valid_process(w)
-    payload = {
-        "experiment": "process.validate",
-        "params": {"which": args.which},
-        "is_valid": v.is_valid,
-        "psd": v.psd,
-        "trace_ok": v.trace_ok,
-        "projector_fixed": v.projector_fixed,
-        "min_eigenvalue": v.min_eigenvalue,
-        "trace": v.trace,
-        "projector_residual": v.projector_residual,
-    }
-    if not v.is_valid:
-        raise InvariantViolation("process matrix failed validity conditions", payload)
-    return payload, None
+    return _require(v.is_valid, "process matrix failed validity conditions",
+                    {"is_valid": v.is_valid, **dataclasses.asdict(v)})
 
-
-def run_process_correlate(args):
-    if args.u == "haar":
-        if args.seed is None:
-            raise ValueError("--seed is required for a Haar unitary")
-        u = linalg.haar_random_unitary(2, args.seed)
-    else:
-        u = np.eye(2, dtype=complex)
-    w = process_matrix.identity_process(u=u)
-    i, j = OBS_INDEX[args.i.upper()], OBS_INDEX[args.j.upper()]
-    value = process_matrix.pauli_pair_correlation(w, i, j)
+@experiment("process.correlate", Param("--u", default="identity", choices=("identity", "haar")), SEED,
+            Param("--i", default="Z"), Param("--j", default="Z"))
+def _process_correlate(p):
+    u = _unitary(p.u, p.seed)
+    i, j = OBS_INDEX[p.i.upper()], OBS_INDEX[p.j.upper()]
+    value = process_matrix.pauli_pair_correlation(process_matrix.identity_process(u=u), i, j)
     closed = 0.5 * float(np.real(np.trace(linalg.PAULIS[j] @ u @ linalg.PAULIS[i] @ linalg.dag(u))))
-    payload = {
-        "experiment": "process.correlate",
-        "params": {"u": args.u, "seed": args.seed, "i": args.i, "j": args.j},
-        "correlation": value,
-        "closed_form": closed,
-    }
-    return payload, None
+    return {"correlation": value, "closed_form": closed}
 
+@experiment("process.gyni", Param("--demo", default="paper"))
+def _process_gyni(p):
+    (g, l), (g2, l2) = process_matrix.gyni_demo(), process_matrix.pdm_gyni_demo()
+    return _require(abs(g - g2) <= 1e-10 and abs(l - l2) <= 1e-10,
+                    "process and spacetime-state routes disagree",
+                    {"gyni": g, "lgyni": l, "pdm_gyni": g2, "pdm_lgyni": l2,
+                     "violates_gyni": bool(g > 0.5), "violates_lgyni": bool(l > 0.75)})
 
-def run_process_gyni(args):
-    g, l = process_matrix.gyni_demo()
-    g2, l2 = process_matrix.pdm_gyni_demo()
-    payload = {
-        "experiment": "process.gyni",
-        "params": {"demo": args.demo},
-        "gyni": g,
-        "lgyni": l,
-        "pdm_gyni": g2,
-        "pdm_lgyni": l2,
-        "violates_gyni": bool(g > 0.5),
-        "violates_lgyni": bool(l > 0.75),
-    }
-    if abs(g - g2) > 1e-10 or abs(l - l2) > 1e-10:
-        raise InvariantViolation("process and spacetime-state routes disagree", payload)
-    return payload, None
+@experiment("process.vertices", *(Param(flag, int, 2, lo=1) for flag in ("--ma", "--mb", "--ka", "--kb")),
+            Param("--enumerate", bool, False))
+def _process_vertices(p):
+    sizes = (p.ma, p.mb, p.ka, p.kb)
+    if p.ma * p.mb * np.log2(max(p.ka, p.kb)) > MAX_COUNT_BITS:  # the count is at least 2^that
+        raise ValueError(f"the vertex count at {sizes} exceeds 2^{MAX_COUNT_BITS}")
+    count = process_matrix.count_causal_vertices(*sizes)
+    if not p.enumerate:
+        return {"count_formula": count}
+    if count > MAX_ENUMERATED_VERTICES:
+        raise ValueError(f"--enumerate refuses {count} vertices, more than {MAX_ENUMERATED_VERTICES}")
+    enumerated = len(process_matrix.enumerate_causal_vertices(*sizes))
+    return _require(enumerated == count, "vertex enumeration disagrees with the closed form",
+                    {"count_formula": count, "count_enumerated": enumerated})
 
+def _history_family(p):
+    paulis = _paulis(p.paulis)
+    us = [_unitary(p.unitary, p.seed) for _ in range(len(paulis) - 1)]
+    return histories.pauli_history_family(QUBIT_STATES[p.state], paulis, us), paulis
 
-def run_process_vertices(args):
-    count = process_matrix.count_causal_vertices(args.ma, args.mb, args.ka, args.kb)
-    payload = {
-        "experiment": "process.vertices",
-        "params": {"ma": args.ma, "mb": args.mb, "ka": args.ka, "kb": args.kb},
-        "count_formula": count,
-    }
-    if args.enumerate:
-        verts = process_matrix.enumerate_causal_vertices(args.ma, args.mb, args.ka, args.kb)
-        payload["count_enumerated"] = len(verts)
-        if len(verts) != count:
-            raise InvariantViolation("vertex enumeration disagrees with the closed form", payload)
-    return payload, None
+@experiment("histories.df", *HISTORY_PARAMS, rows=lambda p, body: body["entries"])
+def _histories_df(p):
+    entries = histories.decoherence_matrix(_history_family(p)[0])
+    total = sum(entries.values())
+    rows = [{"state": p.state, "paulis": p.paulis, "unitary": p.unitary, "hist": "".join(map(str, ha)),
+             "hist_prime": "".join(map(str, hb)), "re": v.real, "im": v.imag}
+            for (ha, hb), v in sorted(entries.items())]
+    return {"entries": rows, "total_re": total.real, "total_im": total.imag}
 
+@experiment("histories.consistent", *HISTORY_PARAMS)
+def _histories_consistent(p):
+    fam = _history_family(p)[0]
+    return {"weak_consistent": histories.is_consistent(fam, tol=p.tol),
+            "strong_consistent": histories.is_consistent(fam, tol=p.tol, strong=True)}
 
-def _history_unitary(name: str, seed):
-    if name == "identity":
-        return np.eye(2, dtype=complex)
-    if name == "hadamard":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    if name == "haar":
-        if seed is None:
-            raise ValueError("--seed is required for a Haar unitary")
-        return linalg.haar_random_unitary(2, seed)
-    raise ValueError(f"unknown unitary {name!r}")
-
-
-def _history_family(args):
-    paulis = [OBS_INDEX[t.strip().upper()] for t in args.paulis.split(",")]
-    us = [_history_unitary(args.unitary, args.seed) for _ in range(len(paulis) - 1)]
-    return histories.pauli_history_family(_qubit_state(args.state), paulis, us), paulis
-
-
-def run_histories_df(args):
-    fam, _ = _history_family(args)
-    entries = histories.decoherence_matrix(fam)
-    rows = [
-        {
-            "state": args.state,
-            "paulis": args.paulis,
-            "unitary": args.unitary,
-            "hist": "".join(map(str, ha)),
-            "hist_prime": "".join(map(str, hb)),
-            "re": v.real,
-            "im": v.imag,
-        }
-        for (ha, hb), v in sorted(entries.items())
-    ]
-    total = sum(v for v in entries.values())
-    payload = {
-        "experiment": "histories.df",
-        "params": {"state": args.state, "paulis": args.paulis, "unitary": args.unitary, "seed": args.seed},
-        "entries": rows,
-        "total_re": total.real,
-        "total_im": total.imag,
-    }
-    return payload, rows
-
-
-def run_histories_consistent(args):
-    fam, _ = _history_family(args)
-    payload = {
-        "experiment": "histories.consistent",
-        "params": {"state": args.state, "paulis": args.paulis, "unitary": args.unitary, "seed": args.seed},
-        "weak_consistent": histories.is_consistent(fam, tol=args.tol),
-        "strong_consistent": histories.is_consistent(fam, tol=args.tol, strong=True),
-    }
-    return payload, None
-
-
-def run_histories_corr(args):
-    fam, paulis = _history_family(args)
+@experiment("histories.corr", *HISTORY_PARAMS)
+def _histories_corr(p):
+    fam, paulis = _history_family(p)
     df_value = histories.pdm_correlation_from_df(fam)
-    u = _history_unitary(args.unitary, args.seed)
-    pdm_value = histories.matching_process_correlation(
-        _qubit_state(args.state), paulis, [u] * (len(paulis) - 1)
-    )
-    payload = {
-        "experiment": "histories.corr",
-        "params": {"state": args.state, "paulis": args.paulis, "unitary": args.unitary, "seed": args.seed},
-        "signed_diagonal_sum": df_value,
-        "pdm_correlation": pdm_value,
-    }
-    if abs(df_value - pdm_value) > 1e-10:
-        raise InvariantViolation("history and measurement-cascade correlations disagree", payload)
-    return payload, None
+    us = [_unitary(p.unitary, p.seed)] * (len(paulis) - 1)
+    pdm_value = histories.matching_process_correlation(QUBIT_STATES[p.state], paulis, us)
+    return _require(abs(df_value - pdm_value) <= 1e-10,
+                    "history and measurement-cascade correlations disagree",
+                    {"signed_diagonal_sum": df_value, "pdm_correlation": pdm_value})
 
+@experiment("otoc.direct", Param("--d", int, 4), SEED)
+def _otoc_direct(p):
+    u, v, w = (_unitary("haar", p.seed, k, p.d) for k in range(3))
+    val = otoc.otoc_direct(otoc.OtocSpec(v=v, w=w, u=u, rho=np.eye(p.d, dtype=complex) / p.d))
+    return {"otoc_re": val.real, "otoc_im": val.imag}
 
-def run_otoc_direct(args):
-    if args.seed is None:
-        raise ValueError("--seed is required (Haar evolution)")
-    d = args.d
-    u = linalg.haar_random_unitary(d, args.seed)
-    v = linalg.haar_random_unitary(d, args.seed + 1)
-    w = linalg.haar_random_unitary(d, args.seed + 2)
-    val = otoc.otoc_direct(otoc.OtocSpec(v=v, w=w, u=u, rho=np.eye(d, dtype=complex) / d))
-    payload = {
-        "experiment": "otoc.direct",
-        "params": {"d": d, "seed": args.seed},
-        "otoc_re": val.real,
-        "otoc_im": val.imag,
-    }
-    return payload, None
+@experiment("otoc.pdm", Param("--d", int, 4), SEED)
+def _otoc_pdm(p):
+    u, basis, b = (_unitary("haar", p.seed, k, p.d) for k in range(3))
+    a = basis[:, : p.d // 2] @ linalg.dag(basis[:, : p.d // 2])
+    rho = np.eye(p.d, dtype=complex) / p.d
+    via, direct = otoc.otoc_via_pdm(a, b, u, rho), otoc.otoc_direct(otoc.OtocSpec(v=a, w=b, u=u, rho=rho))
+    return _require(abs(via - direct) <= 1e-12, "forward-backward route deviates from the direct OTOC",
+                    {"via_pdm_re": via.real, "via_pdm_im": via.imag,
+                     "direct_re": direct.real, "direct_im": direct.imag})
 
-
-def run_otoc_pdm(args):
-    if args.seed is None:
-        raise ValueError("--seed is required (Haar evolution)")
-    d = args.d
-    u = linalg.haar_random_unitary(d, args.seed)
-    basis = linalg.haar_random_unitary(d, args.seed + 1)[:, : d // 2]
-    a = basis @ linalg.dag(basis)
-    b = linalg.haar_random_unitary(d, args.seed + 2)
-    rho = np.eye(d, dtype=complex) / d
-    via = otoc.otoc_via_pdm(a, b, u, rho)
-    direct = otoc.otoc_direct(otoc.OtocSpec(v=a, w=b, u=u, rho=rho))
-    payload = {
-        "experiment": "otoc.pdm",
-        "params": {"d": d, "seed": args.seed},
-        "via_pdm_re": via.real,
-        "via_pdm_im": via.imag,
-        "direct_re": direct.real,
-        "direct_im": direct.imag,
-    }
-    if abs(via - direct) > 1e-12:
-        raise InvariantViolation("forward-backward route deviates from the direct OTOC", payload)
-    return payload, None
-
-
-def run_otoc_finalstate(args):
-    if args.seed is None:
-        raise ValueError("--seed is required (Haar evaporation unitary)")
-    n = args.n
-    s = linalg.haar_random_unitary(n, args.seed)
-    psi = linalg.haar_random_state(n, args.seed + 1)
+@experiment("otoc.finalstate", Param("--n", int, 4), SEED)
+def _otoc_finalstate(p):
+    s, psi = _unitary("haar", p.seed, 0, p.n), _unitary("haar", p.seed, 1, p.n)[:, 0]
     prob, out = otoc.final_state_conditional_output(psi, s)
     fidelity = float(abs(np.vdot(s @ psi, out)) ** 2)
-    payload = {
-        "experiment": "otoc.finalstate",
-        "params": {"n": n, "seed": args.seed},
-        "probability": prob,
-        "fidelity_with_s_psi": fidelity,
-    }
-    if abs(fidelity - 1.0) > 1e-10:
-        raise InvariantViolation("conditional state is not S|psi>", payload)
-    return payload, None
+    return _require(abs(fidelity - 1.0) <= 1e-10, "conditional state is not S|psi>",
+                    {"probability": prob, "fidelity_with_s_psi": fidelity})
 
+@experiment("otoc.harmonic", Param("--m", float, 1.0), Param("--omega", float, 1.0),
+            Param("--tau", float, 1.0))
+def _otoc_harmonic(p):
+    pdm_value = otoc.harmonic_pdm_correlation(p.m, p.omega, p.tau)
+    pi_value = otoc.harmonic_pi_correlation(p.omega, p.tau)
+    return {"pdm": pdm_value, "path_integral": pi_value, "ratio": pdm_value / pi_value}
 
-def run_otoc_harmonic(args):
-    vals = {
-        "pdm": otoc.harmonic_pdm_correlation(args.m, args.omega, args.tau),
-        "path_integral": otoc.harmonic_pi_correlation(args.omega, args.tau),
-    }
-    payload = {
-        "experiment": "otoc.harmonic",
-        "params": {"m": args.m, "omega": args.omega, "tau": args.tau},
-        **vals,
-        "ratio": vals["pdm"] / vals["path_integral"],
-    }
-    return payload, None
+@experiment("tc.decay", *CHANNEL_PARAMS, STATE, Param("--n", int, 20, lo=1),
+            Param("--obs", str.upper, "X", choices=tuple(OBS_INDEX)), rows=lambda p, body: [
+                {"channel": p.channel, "p": "" if p.p is None else p.p,
+                 "lam": "" if p.lam is None else p.lam, "obs": p.obs, "N": k + 1, "corr": v}
+                for k, v in enumerate(body["series"])])
+def _tc_decay(p):
+    ch = _make_channel(p.channel, p.p, p.lam, p.seed)
+    series = timecrystal.channel_decay_series(QUBIT_STATES[p.state], ch, OBS_INDEX[p.obs], p.n)
+    return {"series": list(series.values)}
 
+@experiment("tc.symm", P, LAM, Param("--n", int, 50, lo=1), rows=lambda p, body: [
+    {**({"lam": p.lam} if p.lam is not None else {"p": p.p}), "N": k + 1, "corr": v}
+    for k, v in enumerate(body["series"])])
+def _tc_symm(p):
+    if p.lam is not None:
+        return {"series": list(timecrystal.dephasing_symmetrization_series(p.lam, p.n).values)}
+    if p.p is None:
+        raise ValueError("provide --p (depolarizing) or --lam (dephasing)")
+    return {"series": list(timecrystal.symmetrization_series(p.p, p.n).values)}
 
-def run_tc_decay(args):
-    ch = _make_channel(args.channel, args.p, args.lam, args.seed)
-    obs = OBS_INDEX[args.obs.upper()]
-    series = timecrystal.channel_decay_series(_qubit_state(args.state), ch, obs, args.n)
-    rows = [
-        {
-            "channel": args.channel,
-            "p": args.p if args.p is not None else "",
-            "lam": args.lam if args.lam is not None else "",
-            "obs": args.obs.upper(),
-            "N": k + 1,
-            "corr": v,
-        }
-        for k, v in enumerate(series.values)
-    ]
-    payload = {
-        "experiment": "tc.decay",
-        "params": {"channel": args.channel, "p": args.p, "lam": args.lam,
-                   "obs": args.obs.upper(), "n": args.n, "state": args.state},
-        "series": list(series.values),
-    }
-    return payload, rows
+@experiment("tc.phaseflip", Param("--p", float, 0.05), Param("--n", int, 10, lo=1), rows=lambda p, body: [
+    {"p": p.p, "N": k + 1, "xx": xv, "zz": zv} for k, (xv, zv) in enumerate(zip(body["xx"], body["zz"]))])
+def _tc_phaseflip(p):
+    xx, zz = timecrystal.phase_flip_code_series(p.p, p.n)
+    return {"xx": list(xx.values), "zz": list(zz.values)}
 
-
-def run_tc_symm(args):
-    if args.lam is not None:
-        series = timecrystal.dephasing_symmetrization_series(args.lam, args.n)
-        noise = {"lam": args.lam}
-    else:
-        if args.p is None:
-            raise ValueError("provide --p (depolarizing) or --lam (dephasing)")
-        series = timecrystal.symmetrization_series(args.p, args.n)
-        noise = {"p": args.p}
-    rows = [
-        {**noise, "N": k + 1, "corr": v} for k, v in enumerate(series.values)
-    ]
-    payload = {
-        "experiment": "tc.symm",
-        "params": {**noise, "n": args.n},
-        "series": list(series.values),
-    }
-    return payload, rows
-
-
-def run_tc_phaseflip(args):
-    xx, zz = timecrystal.phase_flip_code_series(args.p, args.n)
-    rows = [
-        {"p": args.p, "N": k + 1, "xx": xv, "zz": zv}
-        for k, (xv, zv) in enumerate(zip(xx.values, zz.values))
-    ]
-    payload = {
-        "experiment": "tc.phaseflip",
-        "params": {"p": args.p, "n": args.n},
-        "xx": list(xx.values),
-        "zz": list(zz.values),
-    }
-    return payload, rows
-
-
-def _floquet_spec(args) -> timecrystal.FloquetChainSpec:
-    if args.seed is None:
+def _floquet_series(p) -> timecrystal.CorrelationSeries:
+    if p.seed is None:
         raise ValueError("--seed is required (disorder realization)")
-    return timecrystal.FloquetChainSpec(
-        length=args.length,
-        epsilon=args.epsilon,
-        interactions=not args.no_interactions,
-        disorder_seed=args.seed,
-    )
+    spec = timecrystal.FloquetChainSpec(length=p.length, epsilon=p.epsilon,
+                                        interactions=p.interactions, disorder_seed=p.seed)
+    return timecrystal.floquet_correlation_series(spec, p.site, p.periods)
 
+@experiment("tc.floquet", *FLOQUET_PARAMS, rows=lambda p, body: [
+    {"length": p.length, "epsilon": p.epsilon, "interactions": int(p.interactions), "seed": p.seed,
+     "site": p.site, "period": k, "corr": v} for k, v in enumerate(body["series"])])
+def _tc_floquet(p):
+    return {"series": list(_floquet_series(p).values)}
 
-def run_tc_floquet(args):
-    spec = _floquet_spec(args)
-    series = timecrystal.floquet_correlation_series(spec, args.site, args.periods)
-    rows = [
-        {
-            "length": args.length,
-            "epsilon": args.epsilon,
-            "interactions": int(not args.no_interactions),
-            "seed": args.seed,
-            "site": args.site,
-            "period": k,
-            "corr": v,
-        }
-        for k, v in enumerate(series.values)
-    ]
-    payload = {
-        "experiment": "tc.floquet",
-        "params": {"length": args.length, "epsilon": args.epsilon, "site": args.site,
-                   "periods": args.periods, "seed": args.seed,
-                   "interactions": not args.no_interactions},
-        "series": list(series.values),
-    }
-    return payload, rows
+@experiment("tc.spectrum", *FLOQUET_PARAMS)
+def _tc_spectrum(p):
+    return dataclasses.asdict(timecrystal.subharmonic_peak(_floquet_series(p)))
 
+@experiment("cj.of-channel", *CHANNEL_PARAMS)
+def _cj_of_channel(p):
+    choi = channels.choi_of_channel(_make_channel(p.channel, p.p, p.lam, p.seed))
+    return {"choi_real": np.real(choi.matrix).tolist(), "choi_imag": np.imag(choi.matrix).tolist(),
+            **dataclasses.asdict(channels.check_choi(choi))}
 
-def run_tc_spectrum(args):
-    spec = _floquet_spec(args)
-    series = timecrystal.floquet_correlation_series(spec, args.site, args.periods)
-    peak = timecrystal.subharmonic_peak(series)
-    payload = {
-        "experiment": "tc.spectrum",
-        "params": {"length": args.length, "epsilon": args.epsilon, "site": args.site,
-                   "periods": args.periods, "seed": args.seed,
-                   "interactions": not args.no_interactions},
-        "peak_freq": peak.peak_freq,
-        "peak_weight": peak.peak_weight,
-        "split": peak.split,
-    }
-    return payload, None
+@experiment("cj.check", *CHANNEL_PARAMS)
+def _cj_check(p):
+    choi = channels.choi_of_channel(_make_channel(p.channel, p.p, p.lam, p.seed))
+    flags = dataclasses.asdict(channels.check_choi(choi))
+    return _require(all(flags.values()), "constructed channel failed the Choi conditions", flags)
 
-
-def run_cj_of_channel(args):
-    ch = _make_channel(args.channel, args.p, args.lam, args.seed)
-    choi = channels.choi_of_channel(ch)
-    flags = channels.check_choi(choi)
-    payload = {
-        "experiment": "cj.of-channel",
-        "params": {"channel": args.channel, "p": args.p, "lam": args.lam},
-        "choi_real": np.real(choi.matrix).tolist(),
-        "choi_imag": np.imag(choi.matrix).tolist(),
-        "tp": flags.tp,
-        "hermitian_preserving": flags.hermitian_preserving,
-        "cp": flags.cp,
-    }
-    return payload, None
-
-
-def run_cj_check(args):
-    ch = _make_channel(args.channel, args.p, args.lam, args.seed)
-    flags = channels.check_choi(channels.choi_of_channel(ch))
-    payload = {
-        "experiment": "cj.check",
-        "params": {"channel": args.channel, "p": args.p, "lam": args.lam},
-        "tp": flags.tp,
-        "hermitian_preserving": flags.hermitian_preserving,
-        "cp": flags.cp,
-    }
-    if not (flags.tp and flags.hermitian_preserving and flags.cp):
-        raise InvariantViolation("constructed channel failed the Choi conditions", payload)
-    return payload, None
-
-
-def run_cj_roundtrip(args):
-    ch = _make_channel(args.channel, args.p, args.lam, args.seed)
+@experiment("cj.roundtrip", *CHANNEL_PARAMS, TOL)
+def _cj_roundtrip(p):
+    ch = _make_channel(p.channel, p.p, p.lam, p.seed)
     action = channels.channel_of_choi(channels.choi_of_channel(ch))
-    worst = 0.0
-    for basis in linalg.PAULIS:
-        worst = max(worst, float(np.max(np.abs(action(basis) - channels.apply(ch, basis)))))
-    payload = {
-        "experiment": "cj.roundtrip",
-        "params": {"channel": args.channel, "p": args.p, "lam": args.lam, "tol": args.tol},
-        "max_deviation": worst,
-    }
-    if worst > args.tol:
-        raise InvariantViolation(f"roundtrip deviation {worst} above tol {args.tol}", payload)
-    return payload, None
+    worst = max(float(np.max(np.abs(action(b) - channels.apply(ch, b)))) for b in linalg.PAULIS)
+    return _require(worst <= p.tol, f"roundtrip deviation {worst} above tol {p.tol}",
+                    {"max_deviation": worst})
 
 
-# -- registry and wiring --------------------------------------------------------
-
-EXPERIMENTS = {}
+# -- the generic runner ------------------------------------------------------------
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    """Output flags accepted after the subcommand without clobbering globals."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-    parent.add_argument("--out", default=argparse.SUPPRESS)
-    return parent
-
-
-_OUTPUT_PARENT = _common_parent()
-
-
-def _register(parser, group, command, handler, options):
-    sub = parser.add_parser(command, help=f"{group}.{command}", parents=[_OUTPUT_PARENT])
-    for flags, kwargs in options:
-        sub.add_argument(*flags, **kwargs)
-    sub.set_defaults(handler=handler, experiment=f"{group}.{command}")
-    EXPERIMENTS[f"{group}.{command}"] = [f[0] for f, _ in options]
-
-
-OPT_STATE = (("--state",), {"default": "zero", "help": "zero|one|plus|mixed"})
-OPT_STEPS = (("--steps",), {"default": "identity",
-                            "help": "comma list: identity, depolarizing:p, dephasing:l, haar, hadamard"})
-OPT_SEED = (("--seed",), {"type": int, "default": None})
-OPT_TOL = (("--tol",), {"type": float, "default": 1e-8})
-OPT_CH = (("--channel",), {"default": "depolarizing",
-                           "help": "identity|depolarizing|dephasing|haar"})
-OPT_P = (("--p",), {"type": float, "default": None})
-OPT_LAM = (("--lam", "--lambda"), {"type": float, "default": None, "dest": "lam"})
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spacetimeq",
-        description="spacetime quantum correlation experiments",
-    )
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--out", default=None, help="write the payload to a file")
-    parser.add_argument("--config", default=None, help="JSON config supplying defaults")
+def build_parser(configured: str | None = None) -> argparse.ArgumentParser:
+    """The argument tree of ``EXPERIMENTS``; the flags of ``configured`` work without GROUP COMMAND."""
+    parser = argparse.ArgumentParser(prog="spacetimeq",
+                                     description="spacetime quantum correlation experiments")
     parser.add_argument("--list", action="store_true", help="print the experiment catalog")
+    for param in OUTPUT_PARAMS + (EXPERIMENTS[configured].params if configured in EXPERIMENTS else ()):
+        param.add_to(parser)
+    parser.set_defaults(format=None, out=None, config=None)
     groups = parser.add_subparsers(dest="group")
-
-    g = groups.add_parser("pdm").add_subparsers(dest="command", required=True)
-    _register(g, "pdm", "build", run_pdm_build, [OPT_STATE, OPT_STEPS, OPT_SEED])
-    _register(g, "pdm", "eigen", run_pdm_eigen, [OPT_STATE, OPT_STEPS, OPT_SEED])
-    _register(g, "pdm", "correlation", run_pdm_correlation,
-              [OPT_STATE, OPT_STEPS, OPT_SEED,
-               (("--paulis",), {"default": "Z,Z", "help": "comma list like Z,Z"})])
-    _register(g, "pdm", "monotone", run_pdm_monotone, [OPT_STATE, OPT_STEPS, OPT_SEED])
-    _register(g, "pdm", "tetra", run_pdm_tetra, [OPT_STATE, OPT_STEPS, OPT_SEED])
-
-    g = groups.add_parser("gaussian").add_subparsers(dest="command", required=True)
-    _register(g, "gaussian", "state", run_gaussian_state,
-              [(("--kind",), {"default": "vacuum", "help": "vacuum|thermal:n|tmss:r"})])
-    _register(g, "gaussian", "temporal", run_gaussian_temporal,
-              [(("--initial",), {"default": "vacuum"}),
-               (("--step",), {"default": "identity", "help": "identity|rotation:t|squeeze:r"})])
-    _register(g, "gaussian", "uncertainty", run_gaussian_uncertainty,
-              [(("--kind",), {"default": "vacuum"})])
-    _register(g, "gaussian", "pt", run_gaussian_pt,
-              [(("--r",), {"type": float, "default": 3.0}),
-               (("--tol",), {"type": float, "default": 2e-5})])
-
-    g = groups.add_parser("cv-wigner").add_subparsers(dest="command", required=True)
-    _register(g, "cv-wigner", "point", run_cvwigner_point,
-              [(("--alpha",), {"default": "0,0", "help": "re,im"}),
-               (("--beta",), {"default": "0,0"}),
-               (("--channel",), {"default": "identity", "help": "identity|phase-damping"}),
-               (("--nmax",), {"type": int, "default": 40})])
-    _register(g, "cv-wigner", "normcheck", run_cvwigner_normcheck,
-              [(("--channel",), {"default": "identity"}),
-               (("--radius",), {"type": float, "default": 4.0}),
-               (("--points",), {"type": int, "default": 64}),
-               (("--nmax",), {"type": int, "default": 40}),
-               (("--tol",), {"type": float, "default": 0.02})])
-
-    for alias in ("process", "game"):
-        g = groups.add_parser(alias).add_subparsers(dest="command", required=True)
-        _register(g, "process", "validate", run_process_validate,
-                  [(("--which",), {"default": "ocb", "help": "ocb|identity"})])
-        _register(g, "process", "correlate", run_process_correlate,
-                  [(("--u",), {"default": "identity", "help": "identity|haar"}), OPT_SEED,
-                   (("--i",), {"default": "Z"}), (("--j",), {"default": "Z"})])
-        _register(g, "process", "gyni", run_process_gyni,
-                  [(("--demo",), {"default": "paper"})])
-        _register(g, "process", "vertices", run_process_vertices,
-                  [(("--ma",), {"type": int, "default": 2}),
-                   (("--mb",), {"type": int, "default": 2}),
-                   (("--ka",), {"type": int, "default": 2}),
-                   (("--kb",), {"type": int, "default": 2}),
-                   (("--enumerate",), {"action": "store_true"})])
-
-    g = groups.add_parser("histories").add_subparsers(dest="command", required=True)
-    hist_opts = [OPT_STATE,
-                 (("--paulis",), {"default": "Z,Z"}),
-                 (("--unitary",), {"default": "identity", "help": "identity|hadamard|haar"}),
-                 OPT_SEED, OPT_TOL]
-    _register(g, "histories", "df", run_histories_df, hist_opts)
-    _register(g, "histories", "consistent", run_histories_consistent, hist_opts)
-    _register(g, "histories", "corr", run_histories_corr, hist_opts)
-
-    g = groups.add_parser("otoc").add_subparsers(dest="command", required=True)
-    _register(g, "otoc", "direct", run_otoc_direct,
-              [(("--d",), {"type": int, "default": 4}), OPT_SEED])
-    _register(g, "otoc", "pdm", run_otoc_pdm,
-              [(("--d",), {"type": int, "default": 4}), OPT_SEED])
-    _register(g, "otoc", "finalstate", run_otoc_finalstate,
-              [(("--n",), {"type": int, "default": 4}), OPT_SEED])
-    _register(g, "otoc", "harmonic", run_otoc_harmonic,
-              [(("--m",), {"type": float, "default": 1.0}),
-               (("--omega",), {"type": float, "default": 1.0}),
-               (("--tau",), {"type": float, "default": 1.0})])
-
-    g = groups.add_parser("tc").add_subparsers(dest="command", required=True)
-    _register(g, "tc", "decay", run_tc_decay,
-              [OPT_CH, OPT_P, OPT_LAM, OPT_SEED, OPT_STATE,
-               (("--n",), {"type": int, "default": 20}),
-               (("--obs",), {"default": "X"})])
-    _register(g, "tc", "symm", run_tc_symm,
-              [OPT_P, OPT_LAM, (("--n",), {"type": int, "default": 50})])
-    _register(g, "tc", "phaseflip", run_tc_phaseflip,
-              [(("--p",), {"type": float, "default": 0.05}),
-               (("--n",), {"type": int, "default": 10})])
-    floq_opts = [(("--length",), {"type": int, "default": 8}),
-                 (("--epsilon",), {"type": float, "default": 0.05}),
-                 (("--site",), {"type": int, "default": 3}),
-                 (("--periods",), {"type": int, "default": 64}),
-                 (("--no-interactions",), {"action": "store_true"}),
-                 OPT_SEED]
-    _register(g, "tc", "floquet", run_tc_floquet, floq_opts)
-    _register(g, "tc", "spectrum", run_tc_spectrum, floq_opts)
-
-    g = groups.add_parser("cj").add_subparsers(dest="command", required=True)
-    _register(g, "cj", "of-channel", run_cj_of_channel, [OPT_CH, OPT_P, OPT_LAM, OPT_SEED])
-    _register(g, "cj", "check", run_cj_check, [OPT_CH, OPT_P, OPT_LAM, OPT_SEED])
-    _register(g, "cj", "roundtrip", run_cj_roundtrip, [OPT_CH, OPT_P, OPT_LAM, OPT_SEED, OPT_TOL])
-
+    commands = {}
+    for name, exp in EXPERIMENTS.items():
+        group, command = name.split(".")
+        if group not in commands:
+            group_parser = groups.add_parser(group, aliases=["game"] if group == "process" else [])
+            commands[group] = group_parser.add_subparsers(dest="command", required=True)
+        sub = commands[group].add_parser(command, help=name)
+        for param in OUTPUT_PARAMS + exp.params:
+            param.add_to(sub)
+        sub.set_defaults(experiment=name)
     return parser
 
 
 def list_experiments(fmt: str = "text") -> str:
+    catalog = {name: [p.flag for p in exp.params] for name, exp in EXPERIMENTS.items()}
     if fmt == "json":
-        return json.dumps({"experiments": EXPERIMENTS}, indent=2, sort_keys=True)
-    lines = ["available experiments:"]
-    for name in sorted(EXPERIMENTS):
-        opts = " ".join(EXPERIMENTS[name])
-        lines.append(f"  {name:24s} {opts}")
-    return "\n".join(lines)
+        return json.dumps({"experiments": catalog}, indent=2, sort_keys=True)
+    lines = [f"  {name:24s} {' '.join(catalog[name])}" for name in sorted(catalog)]
+    return "\n".join(["available experiments:"] + lines)
 
 
 def _payload_to_csv(payload: dict, rows) -> str:
+    if not rows:  # one row: the scalar entries, then the parameters
+        rows = [{**{k: v for k, v in payload.items() if not isinstance(v, (dict, list))},
+                 **{f"param_{k}": v for k, v in payload["params"].items()}}]
     buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt_float(v) for k, v in row.items()})
-    else:
-        flat = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
-        flat.update({f"param_{k}": v for k, v in payload.get("params", {}).items()})
-        writer = csv.DictWriter(buf, fieldnames=list(flat.keys()))
-        writer.writeheader()
-        writer.writerow({k: _fmt_float(v) for k, v in flat.items()})
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows({k: _fmt_float(v) for k, v in row.items()} for row in rows)
     return buf.getvalue()
 
 
-def _emit(text: str, out_path):
+def _emit_payload(payload: dict, rows, fmt: str, out_path) -> int:
+    text = _payload_to_csv(payload, rows) if fmt == "csv" else json.dumps(payload, indent=2, sort_keys=True)
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return EXIT_OK
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise IOError(f"cannot write {out_path}: {exc}") from exc
-
-
-def _apply_config(parser, argv):
-    """Pull defaults out of --config and let explicit flags override them."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    experiment = config.get("experiment")
-    inject = []
-    if experiment and not any(not a.startswith("-") for a in argv[:idx]):
-        inject.extend(experiment.split("."))
-    for key, value in config.get("params", {}).items():
-        flag = f"--{key}"
-        if flag not in argv:
-            if isinstance(value, bool):
-                if value:
-                    inject.append(flag)
-            else:
-                inject.extend([flag, str(value)])
-    if "format" in config and "--format" not in argv:
-        inject = ["--format", str(config["format"])] + inject
-    if "out" in config and "--out" not in argv:
-        inject = ["--out", str(config["out"])] + inject
-    rest = [a for i, a in enumerate(argv) if i not in (idx, idx + 1)]
-    return inject + rest
-
-
-def _emit_payload(payload, rows, args) -> int:
-    fmt = args.format or "json"
-    try:
-        if fmt == "csv":
-            _emit(_payload_to_csv(payload, rows), args.out)
-        else:
-            _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    except IOError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
+def _load_config(path) -> dict:
+    """The JSON config document: optional ``experiment``, ``params``, ``format`` and ``out``."""
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict) or config.get("experiment") not in (None, *EXPERIMENTS):
+        raise ValueError(f"{path} must hold an object whose 'experiment' is in the catalog")
+    if not (isinstance(config.get("params", {}), dict) and isinstance(config.get("out", ""), str)
+            and config.get("format") in (None, "json", "csv")):
+        raise ValueError("'params' must be an object, 'out' a path and 'format' json or csv")
+    return config
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    """Parse, merge ``{**defaults, **config params, **explicit flags}``, check, run and emit."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    locate = argparse.ArgumentParser(prog="spacetimeq", add_help=False)
+    locate.add_argument("--config")
+    path = locate.parse_known_args(argv)[0].config
     try:
-        argv = _apply_config(parser, argv)
-    except (OSError, json.JSONDecodeError) as exc:
+        config = {} if path is None else _load_config(path)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
-
-    args = parser.parse_args(argv)
-    if args.group is None or args.list:
-        print(list_experiments("json" if args.format == "json" else "text"))
+    args = build_parser(config.get("experiment")).parse_args(argv)
+    fmt = args.format or config.get("format")
+    name = getattr(args, "experiment", None) or config.get("experiment")
+    if args.list or not name:
+        print(list_experiments(fmt))
         return EXIT_OK
-
+    exp, given, params = EXPERIMENTS[name], config.get("params", {}), {}
+    out_path = args.out if args.out is not None else config.get("out")
     try:
-        payload, rows = args.handler(args)
+        unknown = sorted(set(given) - {p.name for p in exp.params})
+        if unknown:
+            raise ValueError(f"{name} has no parameter {', '.join(unknown)}")
+        for p in exp.params:
+            if hasattr(args, p.name):
+                value = getattr(args, p.name)
+            elif given.get(p.name) is not None and p.type is not bool:
+                value = p.type(str(given[p.name]))  # a config value converts like flag text
+            else:
+                value = given.get(p.name, p.default)
+            p.check(value)
+            params[p.name] = value
+        resolved = argparse.Namespace(**params)
+        body = exp.run(resolved)
+        rows = exp.rows(resolved, body) if exp.rows else None
     except InvariantViolation as exc:
-        if exc.payload is not None:
-            _emit_payload(exc.payload, None, args)
+        _emit_payload({"experiment": name, "params": params, **exc.payload}, None, fmt, out_path)
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ValueError, IndexError, KeyError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    return _emit_payload(payload, rows, args)
+    return _emit_payload({"experiment": name, "params": params, **body}, rows, fmt, out_path)
 
 
 if __name__ == "__main__":

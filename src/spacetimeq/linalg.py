@@ -49,6 +49,11 @@ def projector(vec) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def maximally_entangled_ket(n: int) -> np.ndarray:
+    """Normalized |Phi> = sum_i |i>|i> / sqrt(n) on C^n (x) C^n."""
+    return np.eye(n, dtype=complex).ravel() / np.sqrt(n)
+
+
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more operators (or vectors)."""
     if not ops:

@@ -78,13 +78,6 @@ def haar_averaged_otoc(v, w, d: int, samples: int, seed: int) -> complex:
 # -- black hole final-state projection ----------------------------------------
 
 
-def maximally_entangled_ket(n: int) -> np.ndarray:
-    phi = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        phi[i * n + i] = 1.0 / np.sqrt(n)
-    return phi
-
-
 def _final_state_bra(s: np.ndarray) -> np.ndarray:
     """Coefficients of the normalized final-state bra on (matter, in).
 
@@ -117,7 +110,7 @@ def final_state_conditional_output(psi, s=None, seed: int | None = None):
     if not np.allclose(dag(s) @ s, np.eye(n), atol=1e-8, rtol=0.0):
         raise ValueError("s must be unitary")
 
-    state = linalg.tensor(psi, maximally_entangled_ket(n))  # M (x) in (x) out
+    state = linalg.tensor(psi, linalg.maximally_entangled_ket(n))  # M (x) in (x) out
     amp = np.tensordot(
         _final_state_bra(s), state.reshape(n, n, n), axes=([0, 1], [0, 1])
     )
@@ -140,7 +133,7 @@ def final_state_otoc_probability(psi, s, probe_out=None) -> float:
     psi = linalg.ket(psi)
     n = psi.size
     s = np.asarray(s, dtype=complex)
-    state = linalg.tensor(psi, maximally_entangled_ket(n)).reshape(n, n, n)
+    state = linalg.tensor(psi, linalg.maximally_entangled_ket(n)).reshape(n, n, n)
     if probe_out is not None:
         probe = np.asarray(probe_out, dtype=complex)
         state = np.einsum("mio,po->mip", state, probe, optimize=True)

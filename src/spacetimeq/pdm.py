@@ -326,9 +326,7 @@ def ctc_probability_via_projection(u_sa: np.ndarray, rho_s: np.ndarray, d: int) 
     u = np.asarray(u_sa, dtype=complex)
     rho_s = np.asarray(rho_s, dtype=complex)
     d_s = rho_s.shape[0]
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / np.sqrt(d)
+    phi = linalg.maximally_entangled_ket(d)
     phi_proj = np.outer(phi, phi.conj())
     state = linalg.tensor(rho_s, phi_proj)
     u_full = linalg.tensor(u, np.eye(d, dtype=complex))

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from spacetimeq import linalg
-from spacetimeq.linalg import I2, X, Z, dag
+from spacetimeq.linalg import I2, KET0, KET1, X, Z
 
 SLOTS = ("A_I", "A_O", "B_I", "B_O")
+KETS = (KET0, KET1)
 
 #: Subsets of slots on which a term may act nontrivially in a valid W.
 ALLOWED_TERM_TYPES = frozenset(
@@ -139,19 +140,13 @@ def is_valid_process(w: ProcessMatrix, tol: float = 1e-8) -> ProcessValidity:
 
 
 def choi_input_first(kraus_ops) -> np.ndarray:
-    """Choi matrix sum_{ij} |i><j| (x) M(|i><j|) of a CP map (input first)."""
-    ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
-    d_in = ops[0].shape[1]
-    d_out = ops[0].shape[0]
-    m = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for k in ops:
-        v = np.zeros(d_in * d_out, dtype=complex)
-        for i in range(d_in):
-            e = np.zeros(d_in, dtype=complex)
-            e[i] = 1.0
-            v += np.kron(e, k[:, i])
-        m += np.outer(v, v.conj())
-    return m
+    """Choi matrix sum_{ij} |i><j| (x) M(|i><j|) of a CP map (input first).
+
+    In closed form sum_k vec(K^T) vec(K^T)^dag with vec = ravel, the factor swap of
+    ``channels.choi_of_channel``.
+    """
+    vecs = [np.asarray(k, dtype=complex).T.ravel() for k in kraus_ops]
+    return sum(np.outer(v, v.conj()) for v in vecs)
 
 
 def maxent_choi(u: np.ndarray | None = None, d: int = 2) -> np.ndarray:
@@ -251,10 +246,7 @@ def violating_operations() -> Instrument:
     measure Z, answer the outcome, and re-prepare the opposite Z eigenstate.
     Both instruments are trace-preserving per input.
     """
-    ket0 = np.array([1, 0], dtype=complex)
-    ket1 = np.array([0, 1], dtype=complex)
-    p0 = np.outer(ket0, ket0.conj())
-    p1 = np.outer(ket1, ket1.conj())
+    p0, p1 = linalg.projector(KET0), linalg.projector(KET1)
     ops = {
         (0, 0): np.zeros((4, 4), dtype=complex),
         (1, 0): maxent_choi(),
@@ -324,9 +316,7 @@ def ancilla_pdm(x: int, y: int) -> np.ndarray:
     on X (x) A (x) Y (x) B. Hermitian and unit trace; the signalling terms
     coincide with those of the process matrix.
     """
-    kets = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
-    px = np.outer(kets[x], kets[x].conj())
-    py = np.outer(kets[y], kets[y].conj())
+    px, py = linalg.projector(KETS[x]), linalg.projector(KETS[y])
     return 0.25 * (
         linalg.tensor(px, I2, py, I2)
         + (linalg.tensor(Z, Z, Z, I2) + linalg.tensor(Z, I2, X, X)) / np.sqrt(2.0)
@@ -347,7 +337,7 @@ def pdm_gyni_demo() -> tuple[float, float]:
     table = {}
     for x in (0, 1):
         for y in (0, 1):
-            anc = linalg.tensor(_ket_proj(x), _ket_proj(y))
+            anc = linalg.tensor(linalg.projector(KETS[x]), linalg.projector(KETS[y]))
             background = _expand_ancilla(anc, w.w)
             for a in (0, 1):
                 for b in (0, 1):
@@ -356,18 +346,12 @@ def pdm_gyni_demo() -> tuple[float, float]:
     return gyni_score(table), lgyni_score(table)
 
 
-def _ket_proj(x: int) -> np.ndarray:
-    k = np.zeros(2, dtype=complex)
-    k[x] = 1.0
-    return np.outer(k, k.conj())
-
-
 def _controlled_op(inst: Instrument, outcome: int) -> np.ndarray:
     """hat A_a = sum_x |x><x| (x) A_{a|x} on ancilla (x) input (x) output."""
     blocks = [np.asarray(inst.cj_ops[(outcome, x)], dtype=complex) for x in (0, 1)]
     out = np.zeros((8, 8), dtype=complex)
     for x, blk in enumerate(blocks):
-        out += linalg.tensor(_ket_proj(x), blk)
+        out += linalg.tensor(linalg.projector(KETS[x]), blk)
     return out
 
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spacetimeq import cli
 
@@ -149,3 +155,175 @@ class TestConfig:
     def test_missing_config_is_io_error(self, capsys):
         code, _, _ = run(capsys, "--config", "/does/not/exist.json")
         assert code == 4
+
+
+def exit_code(*argv):
+    """Exit code and stderr of one in-process call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestContract:
+    @pytest.mark.parametrize("argv", [
+        ("cv-wigner", "normcheck", "--points", "0"),
+        ("cv-wigner", "point", "--nmax", "1"),
+        ("--config",),
+        ("tc", "decay", "--channel", "depolarizing", "--p", "0.1", "--n", "-3"),
+        ("tc", "symm", "--p", "0.1", "--n", "0"),
+        ("tc", "phaseflip", "--n", "0"),
+        ("tc", "floquet", "--length", "4", "--periods", "-1", "--seed", "1"),
+        ("process", "vertices", "--ma", "120", "--mb", "120"),
+    ])
+    def test_out_of_domain_is_validation_error(self, argv):
+        code, err = exit_code(*argv)
+        assert code == 2
+        assert "Traceback" not in err
+
+    def test_config_with_equals_sign(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "pdm.eigen", "params": {"state": "mixed"}}))
+        code, out, _ = run(capsys, f"--config={cfg}")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["experiment"] == "pdm.eigen"
+        assert payload["params"]["state"] == "mixed"
+
+    @pytest.mark.parametrize("document", [
+        {"experiment": "pdm.nosuch"},
+        {"experiment": "pdm.eigen", "params": {"nosuch": 1}},
+        {"experiment": "pdm.eigen", "params": {"seed": "abc"}},
+        {"experiment": "tc.decay", "params": {"n": None}},
+        {"experiment": "process.vertices", "params": {"enumerate": "yes"}},
+        [1, 2],
+    ])
+    def test_bad_config_documents_are_validation_errors(self, tmp_path, document):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        assert exit_code("--config", str(cfg))[0] == 2
+
+
+class TestParams:
+    @pytest.mark.parametrize("argv", [
+        ("cj", "of-channel", "--channel", "haar", "--seed", "5"),
+        ("cj", "check", "--channel", "haar", "--seed", "5"),
+        ("cj", "roundtrip", "--channel", "haar", "--seed", "5"),
+        ("tc", "decay", "--channel", "haar", "--seed", "3", "--n", "4"),
+        ("tc", "floquet", "--length", "3", "--site", "1", "--periods", "4", "--seed", "2",
+         "--no-interactions"),
+        ("histories", "consistent", "--unitary", "haar", "--seed", "4", "--paulis", "X,Z"),
+        ("process", "vertices", "--enumerate"),
+        ("otoc", "finalstate", "--n", "3", "--seed", "9"),
+    ])
+    def test_payload_reruns_from_its_params(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["params"]) == {p.name for p in cli.EXPERIMENTS[payload["experiment"]].params}
+        cfg = tmp_path / "rerun.json"
+        cfg.write_text(json.dumps({"experiment": payload["experiment"], "params": payload["params"]}))
+        code, again, _ = run(capsys, "--config", str(cfg))
+        assert code == 0
+        assert again == out
+
+    def test_game_is_an_alias_of_process(self, capsys):
+        assert run(capsys, "game", "validate")[1] == run(capsys, "process", "validate")[1]
+
+
+class TestVertexBound:
+    def test_refused_without_enumerating(self, monkeypatch):
+        def never(*sizes):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(cli.process_matrix, "enumerate_causal_vertices", never)
+        code, err = exit_code("process", "vertices", "--enumerate",
+                              "--ma", "4", "--mb", "4", "--ka", "4", "--kb", "4")
+        assert code == 2
+        assert "refuses" in err
+
+    def test_count_alone_is_not_bounded(self, capsys):
+        code, out, _ = run(capsys, "process", "vertices", "--ma", "4", "--mb", "4", "--ka", "4", "--kb", "4")
+        assert code == 0
+        assert json.loads(out)["count_formula"] == 2199023190016
+
+    def test_default_sizes_enumerate(self, capsys):
+        code, out, _ = run(capsys, "process", "vertices", "--enumerate")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["count_enumerated"] == payload["count_formula"] == 112
+
+
+# -- fuzzing every experiment through its declared parameters -----------------
+
+# Sizes are kept small so that each call stays cheap; parameters listed here are
+# always drawn, since their defaults are expensive.
+SIZE_CAPS = {"points": 8, "nmax": 12, "length": 4, "periods": 32}
+# Valid forms of the free-text parameters; malformed text is mixed in below.
+TEXT_SAMPLES = {
+    "steps": ["identity", "hadamard,dephasing:0.3", "depolarizing:0.2,haar", "haar,haar"],
+    "paulis": ["Z,Z", "X,Y,Z", "Z", "I,X"],
+    "kind": ["vacuum", "thermal:1.5", "tmss:0.4", "thermal:-1"],
+    "initial": ["vacuum", "thermal:0.5", "tmss:0.2"],
+    "step": ["identity", "rotation:0.4", "squeeze:0.2"],
+    "alpha": ["0,0", "0.3,-0.2", "1"],
+    "beta": ["0,0", "-0.1,0.4"],
+    "i": ["X", "y", "Z", "I"],
+    "j": ["X", "Y", "z", "I"],
+}
+JUNK = st.text(alphabet="XYZIahdr:,.-0123456789", max_size=8)
+
+
+def param_values(param):
+    """Argument text for one declared parameter, in and out of its domain."""
+    if param.type is bool:
+        return st.booleans()
+    if param.type is int:
+        lo = 0 if param.lo is None else int(param.lo)
+        top = SIZE_CAPS.get(param.name, 1000 if param.name == "seed" else 6)
+        return st.one_of(st.integers(lo, max(lo, top)), st.sampled_from([lo - 1, -3]))
+    if param.type is float:
+        return st.one_of(st.floats(-2.0, 2.0), st.sampled_from([float("nan"), float("inf"), -1e300]))
+    valid = list(param.choices) or TEXT_SAMPLES.get(param.name, [param.default])
+    return st.one_of(st.sampled_from(valid), JUNK)
+
+
+@st.composite
+def invocations(draw, name):
+    argv = name.split(".")
+    for param in cli.EXPERIMENTS[name].params:
+        if param.name not in SIZE_CAPS and draw(st.booleans()):
+            continue  # leave it at its default
+        value = draw(param_values(param))
+        if param.type is bool:
+            argv += [param.flag] if value != param.default else []
+        else:
+            argv.append(f"{param.flag}={value}")
+    return argv + draw(st.sampled_from([[], ["--format", "csv"]]))
+
+
+# Derandomized so that every run draws the same examples; raising max_examples
+# gives a longer search (400 per experiment ran clean).
+@pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_arguments_keep_the_exit_contract(name, data):
+    argv = data.draw(invocations(name))
+    code, err = exit_code(*argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err
+
+
+def readme_invocations():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```\n(.*?)```", text, flags=re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("spacetimeq ")]
+
+
+@pytest.mark.parametrize("line", readme_invocations())
+def test_readme_examples_parse(line):
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    assert getattr(args, "experiment", None) in cli.EXPERIMENTS or args.config or args.list

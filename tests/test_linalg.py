@@ -141,3 +141,16 @@ class TestTraceNorm:
         assert abs(linalg.trace_norm(I2) - 2.0) < 1e-12
         assert abs(linalg.trace_norm(np.diag([1.0, -0.5, 0.5, 0.0])) - 2.0) < 1e-12
         assert abs(linalg.trace_norm(Z / 2) - 1.0) < 1e-12
+
+
+class TestMaximallyEntangled:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_normalized_and_traces(self, n):
+        phi = linalg.maximally_entangled_ket(n)
+        assert abs(np.vdot(phi, phi) - 1.0) < 1e-14
+        a = linalg.random_density_matrix(n, n) + 1j * np.eye(n)
+        # <Phi| A (x) 1 |Phi> = Tr A / n
+        assert abs(np.vdot(phi, linalg.tensor(a, np.eye(n)) @ phi) - np.trace(a) / n) < 1e-12
+
+    def test_two_qubit_bell_state(self):
+        assert_allclose(linalg.maximally_entangled_ket(2), np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)

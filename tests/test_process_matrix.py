@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from spacetimeq import linalg, process_matrix as pmx
+from spacetimeq import channels, linalg, process_matrix as pmx
 from spacetimeq.linalg import I2, PAULIS, X, Z, dag
 from spacetimeq.process_matrix import (
     ALLOWED_TERM_TYPES,
@@ -211,3 +212,38 @@ class TestCausalPolytope:
     def test_rejects_bad_cardinalities(self):
         with pytest.raises(ValueError):
             count_causal_vertices(0, 1, 2, 2)
+
+
+@st.composite
+def kraus_families(draw):
+    """Kraus operators of a random channel from a Haar isometry, non-square ones included."""
+    d_out, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d_in = draw(st.integers(1, d_out * rank))
+    u = linalg.haar_random_unitary(d_out * rank, draw(st.integers(0, 2**32 - 1)))
+    return [u[k * d_out:(k + 1) * d_out, :d_in] for k in range(rank)]
+
+
+def basis_units(d):
+    eye = np.eye(d, dtype=complex)
+    return [np.outer(eye[i], eye[j]) for i in range(d) for j in range(d)]
+
+
+class TestChoiConventions:
+    @settings(max_examples=40, deadline=None)
+    @given(kraus_families())
+    def test_input_first_is_the_factor_swap_of_output_first(self, ops):
+        ch = channels.KrausChannel(ops)
+        d_out, d_in = ch.out_dim, ch.in_dim
+        t = channels.choi_of_channel(ch).matrix.reshape(d_out, d_in, d_out, d_in)
+        swapped = t.transpose(1, 0, 3, 2).reshape(d_in * d_out, d_in * d_out)
+        assert_allclose(pmx.choi_input_first(ops), swapped, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kraus_families())
+    def test_both_match_their_definitions(self, ops):
+        ch = channels.KrausChannel(ops)
+        units = basis_units(ch.in_dim)
+        output_first = sum(np.kron(channels.apply(ch, e), e) for e in units)
+        input_first = sum(np.kron(e, channels.apply(ch, e)) for e in units)
+        assert_allclose(channels.choi_of_channel(ch).matrix, output_first, atol=1e-12)
+        assert_allclose(pmx.choi_input_first(ops), input_first, atol=1e-12)
