@@ -28,6 +28,9 @@ EXIT_OK, EXIT_VALIDATION, EXIT_INVARIANT, EXIT_IO = 0, 2, 3, 4
 #: Bounds of ``process vertices``: the most vertices ``--enumerate`` lists (about 8 us and 0.75 kB
 #: each), and the largest log2 of the closed-form count it computes (about 1200 digits)
 MAX_ENUMERATED_VERTICES, MAX_COUNT_BITS = 100_000, 4096
+#: Bounds of ``cv-wigner``: the most Fock levels (the phase-damping channel holds nmax^3 complex
+#: entries, 32 MiB at 128), and the most points^2 * nmax^3 of a normcheck (16 times its default)
+MAX_FOCK_LEVELS, MAX_NORMCHECK_WORK = 128, 2**32
 
 OBS_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
 
@@ -58,8 +61,8 @@ class InvariantViolation(RuntimeError):
 @dataclasses.dataclass(frozen=True)
 class Param:
     """A declared parameter: flag, text conversion, default and domain (``lo``
-    inclusive, or ``choices``). A ``bool`` one is a switch storing ``not default``;
-    ``None`` (unset) is allowed only where it is the default."""
+    inclusive, or ``choices``; a ``float`` one is finite). A ``bool`` one is a switch
+    storing ``not default``; ``None`` (unset) is allowed only where it is the default."""
 
     flag: str
     type: Callable = str
@@ -86,6 +89,8 @@ class Param:
         elif self.type is bool:
             if not isinstance(value, bool):
                 raise ValueError(f"{self.flag} takes true or false, got {value!r}")
+        elif self.type is float and not np.isfinite(value):
+            raise ValueError(f"{self.flag} must be finite, got {value}")
         elif self.choices and value not in self.choices:
             raise ValueError(f"{self.flag} must be one of {'|'.join(self.choices)}, got {value!r}")
         elif self.lo is not None and not value >= self.lo:
@@ -185,7 +190,10 @@ def _from_spec(spec: str, makers: dict, what: str):
 
 def _parse_complex(text: str) -> complex:
     re_part, _, im_part = text.partition(",")
-    return complex(float(re_part), float(im_part or 0.0))
+    value = complex(float(re_part), float(im_part or 0.0))
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite complex number")
+    return value
 
 
 def _paulis(spec: str) -> list:
@@ -249,6 +257,8 @@ def _gaussian_pt(p):
                     {"max_relative_entry_error": rel, "pt_matches_tmss": bool(rel <= p.tol)})
 
 def _vacuum_and_channel(p):
+    if p.nmax > MAX_FOCK_LEVELS:
+        raise ValueError(f"--nmax {p.nmax} exceeds {MAX_FOCK_LEVELS} Fock levels")
     damped = p.channel == "phase-damping"
     ch = cv_wigner.fock_phase_damping(p.nmax) if damped else channels.identity_channel(p.nmax)
     return np.diag(np.eye(p.nmax, dtype=complex)[0]), ch  # the Fock vacuum |0><0|
@@ -259,9 +269,12 @@ def _cv_point(p):
     alpha, beta = _parse_complex(p.alpha), _parse_complex(p.beta)
     return {"wigner": cv_wigner.spacetime_wigner_point(*_vacuum_and_channel(p), alpha, beta, p.nmax)}
 
-@experiment("cv-wigner.normcheck", CV_CHANNEL, Param("--radius", float, 4.0),
+@experiment("cv-wigner.normcheck", CV_CHANNEL, Param("--radius", float, 4.0, lo=0.0),
             Param("--points", int, 64, lo=1), NMAX, Param("--tol", float, 0.02))
 def _cv_normcheck(p):
+    if p.points ** 2 * p.nmax ** 3 > MAX_NORMCHECK_WORK:
+        raise ValueError(f"--points {p.points} with --nmax {p.nmax} exceeds the budget "
+                         f"points^2 * nmax^3 <= {MAX_NORMCHECK_WORK}")
     val = cv_wigner.wigner_normalization_check(*_vacuum_and_channel(p), p.radius, p.points, p.nmax)
     return _require(abs(val - 1.0) <= p.tol, f"normalization {val} deviates beyond {p.tol}",
                     {"normalization": val, "within_tolerance": bool(abs(val - 1.0) <= p.tol)})

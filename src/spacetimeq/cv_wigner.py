@@ -1,25 +1,38 @@
 """Spacetime Wigner functions from displaced-parity measurements.
 
 Works on a truncated Fock space. The observable T(alpha) is twice the
-displaced parity operator D(alpha) (-1)^n D(alpha)^dag; its expectation is
-the Wigner function value at alpha. Across two times the value is built
-from the projective measurement of the parity sign at t1, channel
-evolution, and a second parity readout at t2.
+displaced parity U(alpha) = D(alpha) (-1)^n D(alpha)^dag; its expectation is
+the Wigner function value at alpha (Royer, PRA 15, 449 (1977)). Across two
+times the value is built from the projective measurement of the parity sign
+at t1, channel evolution, and a second parity readout at t2.
 
-Truncation notes: the displacement is the matrix exponential of the
-truncated generator, accurate for |alpha|^2 well below n_max. The trace of
-the truncated T(0) oscillates with n_max (0 for even, 2 for odd cutoffs)
-instead of converging to 1; that artifact only matters for diagnostics,
-never for the smoothed integrals below.
+Every displaced parity comes from one eigendecomposition per cutoff. With
+R(theta) = e^{i theta n}, D(r e^{i theta}) = R(theta) D(r) R(theta)^dag holds
+exactly on the truncated space, and D(r) = V e^{-i r Lambda} V^dag where
+V Lambda V^dag = i(a^dag - a). So U is exactly Hermitian and unitary, its
+parity projectors are (1 -/+ U)/2 (odd, even), and the signed
+post-measurement state Pi_even rho Pi_even - Pi_odd rho Pi_odd is
+(U rho + rho U)/2.
+
+Truncation notes: the displacement is the exponential of the truncated
+generator, accurate for |alpha|^2 well below n_max. The trace of the
+truncated T(0) oscillates with n_max (0 for even, 2 for odd cutoffs) instead
+of converging to 1; that artifact only matters for diagnostics, never for
+the smoothed integrals below.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg import expm
 
 from spacetimeq import linalg
 from spacetimeq.channels import KrausChannel, apply
+
+#: Matrix entries per block of radii in the grid sum of ``wigner_normalization_check``
+#: (64 KiB per complex block array), so that its memory does not grow with the grid
+GRID_BLOCK_ENTRIES = 1 << 12
 
 
 def annihilation(n_max: int) -> np.ndarray:
@@ -30,10 +43,39 @@ def annihilation(n_max: int) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=8)
+def _generator_spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, V, Q): V diag(lambda) V^dag = i(a^dag - a) and Q = V^dag (-1)^n V, read-only."""
+    a = annihilation(n_max)
+    lam, v = np.linalg.eigh(1j * (linalg.dag(a) - a))
+    q = linalg.dag(v) @ parity(n_max) @ v
+    for array in (lam, v, q):
+        array.flags.writeable = False
+    return lam, v, q
+
+
+def _displaced_frame(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, B, Q) with B = R(theta) V and W = B e^{-i r Lambda}, alpha = r e^{i theta}.
+
+    Then D(alpha) = W B^dag and U(alpha) = W Q W^dag.
+    """
+    lam, v, q = _generator_spectrum(n_max)
+    b = np.exp(1j * np.angle(alpha) * np.arange(n_max))[:, None] * v
+    return b * np.exp(-1j * abs(alpha) * lam), b, q
+
+
+def _parity_unitary(alpha: complex, n_max: int) -> np.ndarray:
+    """U(alpha) = D(alpha) (-1)^n D(alpha)^dag, Hermitian and unitary."""
+    if n_max < 2:
+        raise ValueError("need at least two Fock levels")
+    w, _, q = _displaced_frame(alpha, n_max)
+    return w @ q @ linalg.dag(w)
+
+
 def displacement(alpha: complex, n_max: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
-    a = annihilation(n_max)
-    return expm(alpha * linalg.dag(a) - np.conj(alpha) * a)
+    w, b, _ = _displaced_frame(alpha, n_max)
+    return w @ linalg.dag(b)
 
 
 def parity(n_max: int) -> np.ndarray:
@@ -43,37 +85,22 @@ def parity(n_max: int) -> np.ndarray:
 
 def displaced_parity(alpha: complex, n_max: int) -> np.ndarray:
     """T(alpha) = 2 D(alpha) (-1)^n D(alpha)^dag, Hermitian with eigenvalues +/-2."""
-    if n_max < 2:
-        raise ValueError("need at least two Fock levels")
-    d = displacement(alpha, n_max)
-    return 2.0 * d @ parity(n_max) @ linalg.dag(d)
+    return 2.0 * _parity_unitary(alpha, n_max)
 
 
 def parity_projectors(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenprojectors (odd, even) of the displaced parity at alpha.
-
-    Computed from the Hermitian eigendecomposition of T(alpha)/2 with the
-    eigenvalue sign thresholded at zero, which is robust to truncation.
-    """
-    u = displaced_parity(alpha, n_max) / 2.0
-    vals, vecs = np.linalg.eigh(u)
-    odd = vecs[:, vals < 0]
-    even = vecs[:, vals >= 0]
-    pi_odd = odd @ linalg.dag(odd)
-    pi_even = even @ linalg.dag(even)
-    return pi_odd, pi_even
+    """Eigenprojectors (odd, even) of the displaced parity at alpha: (1 -/+ U(alpha))/2."""
+    u, one = _parity_unitary(alpha, n_max), np.eye(n_max)
+    return (one - u) / 2.0, (one + u) / 2.0
 
 
 def _spacetime_wigner_complex(rho, ch: KrausChannel, alpha, beta, n_max: int) -> complex:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n_max, n_max):
         raise ValueError("state dimension does not match n_max")
-    pi_odd, pi_even = parity_projectors(alpha, n_max)
-    t_beta = displaced_parity(beta, n_max)
-    total = 0.0 + 0.0j
-    for sign, proj in ((-1.0, pi_odd), (1.0, pi_even)):
-        total += sign * np.trace(t_beta @ apply(ch, proj @ rho @ proj))
-    return 2.0 * total
+    u_alpha = _parity_unitary(alpha, n_max)
+    signed = apply(ch, (u_alpha @ rho + rho @ u_alpha) / 2.0)
+    return 4.0 * np.trace(_parity_unitary(beta, n_max) @ signed)
 
 
 def spacetime_wigner_point(rho, ch: KrausChannel, alpha, beta, n_max: int) -> float:
@@ -98,14 +125,40 @@ def spatial_wigner_point(rho12, alpha, beta, n_max: int) -> float:
     return float(np.real(np.trace(op @ rho12)))
 
 
-def _disc_grid(radius: float, points: int) -> tuple[np.ndarray, float]:
-    """Midpoint grid over the square, masked to the disc |alpha| <= radius."""
+def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:
+    """S = sum of U(alpha) cell / pi over the midpoint grid of the square, masked to the disc.
+
+    Cell centres sit at odd (even points) or even (odd points) multiples k of half a cell
+    h/2, so cells share a radius exactly when they share kx^2 + ky^2, and the disc is
+    kx^2 + ky^2 <= points^2 (never an equality). Within a radius, U differs only by
+    R(theta), which multiplies entry (m, n) by e^{i theta (m - n)}; so each radius costs
+    two matrix products, and its angles one phase sum per offset |m - n|, real because
+    the grid is symmetric under theta -> -theta.
+    """
+    if not radius >= 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    k = 2 * np.arange(points) - (points - 1)
+    kx, ky = (axis.ravel() for axis in np.meshgrid(k, k, indexing="ij"))
+    key = kx * kx + ky * ky
+    order = np.argsort(key, kind="stable")[: np.count_nonzero(key <= points * points)]
+    keys, starts = np.unique(key[order], return_index=True)
+    theta = np.arctan2(ky[order], kx[order])
     h = 2.0 * radius / points
-    centers = -radius + h * (np.arange(points) + 0.5)
-    re, im = np.meshgrid(centers, centers, indexing="ij")
-    alphas = (re + 1j * im).ravel()
-    alphas = alphas[np.abs(alphas) <= radius]
-    return alphas, h * h
+    radii = 0.5 * h * np.sqrt(keys)
+
+    lam, v, q = _generator_spectrum(n_max)
+    offsets = np.arange(n_max)
+    distance = np.abs(offsets[:, None] - offsets[None, :])
+    bounds = np.append(starts, len(order))
+    total = np.zeros((n_max, n_max), dtype=complex)
+    block = max(1, GRID_BLOCK_ENTRIES // (n_max * n_max))
+    for lo in range(0, len(keys), block):
+        hi = min(lo + block, len(keys))
+        cosines = np.cos(np.outer(theta[bounds[lo]:bounds[hi]], offsets))
+        phases = np.add.reduceat(cosines, starts[lo:hi] - starts[lo], axis=0)[:, distance]
+        w = v * np.exp(-1j * np.outer(radii[lo:hi], lam))[:, None, :]
+        total += np.sum(w @ q @ np.conj(w.transpose(0, 2, 1)) * phases, axis=0)
+    return total * (h * h / np.pi)
 
 
 def wigner_normalization_check(
@@ -117,28 +170,18 @@ def wigner_normalization_check(
 ) -> float:
     """Midpoint-rule value of  integral W(alpha,beta) d2a d2b / pi^2.
 
-    The double phase-space sum factorizes exactly through the trace, so the
-    grid accumulation runs over each variable once: the alpha grid builds
-    the signed post-measurement mixture, the beta grid builds the averaged
-    readout operator. Expected close to 1 for trace-preserving evolution.
+    The double phase-space sum factorizes exactly through the trace and the
+    linearity of the channel: with S = sum_alpha U(alpha) cell / pi, the
+    value is 4 Tr[S E((S rho + rho S)/2)]. Expected close to 1 for
+    trace-preserving evolution.
 
     Pick the radius so the state's tail mass beyond it is negligible while
     radius^2 stays a few standard deviations below n_max; beyond that the
     truncated displacement pollutes the readout operator.
     """
     rho = np.asarray(rho, dtype=complex)
-    alphas, cell = _disc_grid(radius, points)
-
-    signed_mix = np.zeros((n_max, n_max), dtype=complex)
-    t_sum = np.zeros((n_max, n_max), dtype=complex)
-    for a in alphas:
-        pi_odd, pi_even = parity_projectors(a, n_max)
-        signed_mix += pi_even @ rho @ pi_even - pi_odd @ rho @ pi_odd
-        t_sum += displaced_parity(a, n_max)
-    signed_mix *= cell / np.pi
-    t_sum *= cell / np.pi
-
-    value = 2.0 * np.trace(t_sum @ apply(ch, signed_mix))
+    s = _grid_parity_sum(radius, points, n_max)
+    value = 4.0 * np.trace(s @ apply(ch, (s @ rho + rho @ s) / 2.0))
     return float(np.real(value))
 
 
@@ -168,25 +211,16 @@ def cascade_monte_carlo(
     +/-2 outcome at t2, and averages the product. Returns (mean, standard
     error of the mean).
     """
-    rng = np.random.default_rng(seed)
     rho = np.asarray(rho, dtype=complex)
-    pi_odd, pi_even = parity_projectors(alpha, n_max)
-    sig_odd, sig_even = parity_projectors(beta, n_max)
-    first = {
-        -2.0: pi_odd @ rho @ pi_odd,
-        2.0: pi_even @ rho @ pi_even,
-    }
-    probs1 = {k: max(np.trace(v).real, 0.0) for k, v in first.items()}
-    evolved = {
-        k: apply(ch, v / probs1[k]) if probs1[k] > 0 else None for k, v in first.items()
-    }
-    p_even_2 = {
-        k: (np.trace(sig_even @ v @ sig_even).real if v is not None else 0.0)
-        for k, v in evolved.items()
-    }
-    outcomes = np.empty(samples)
-    for i in range(samples):
-        o1 = 2.0 if rng.random() < probs1[2.0] else -2.0
-        o2 = 2.0 if rng.random() < p_even_2[o1] else -2.0
-        outcomes[i] = o1 * o2
+    sig_even = parity_projectors(beta, n_max)[1]
+    p_first, p_even_next = [], []  # per t1 outcome (-2, +2): its probability, P(+2 at t2 | it)
+    for proj in parity_projectors(alpha, n_max):
+        collapsed = proj @ rho @ proj
+        prob = max(np.trace(collapsed).real, 0.0)
+        p_first.append(prob)
+        p_even_next.append(np.trace(sig_even @ apply(ch, collapsed / prob)).real if prob > 0 else 0.0)
+    draws = np.random.default_rng(seed).random((samples, 2))
+    first_even = draws[:, 0] < p_first[1]
+    second_even = draws[:, 1] < np.where(first_even, p_even_next[1], p_even_next[0])
+    outcomes = np.where(first_even == second_even, 4.0, -4.0)
     return float(outcomes.mean()), float(outcomes.std(ddof=1) / np.sqrt(samples))

@@ -178,6 +178,10 @@ class TestContract:
         ("tc", "phaseflip", "--n", "0"),
         ("tc", "floquet", "--length", "4", "--periods", "-1", "--seed", "1"),
         ("process", "vertices", "--ma", "120", "--mb", "120"),
+        ("cv-wigner", "normcheck", "--radius", "nan", "--points", "4", "--nmax", "6"),
+        ("cv-wigner", "normcheck", "--radius", "inf", "--points", "4", "--nmax", "6"),
+        ("cv-wigner", "point", "--alpha", "0.5,nan", "--nmax", "6"),
+        ("otoc", "harmonic", "--tau", "nan"),
     ])
     def test_out_of_domain_is_validation_error(self, argv):
         code, err = exit_code(*argv)
@@ -255,6 +259,32 @@ class TestVertexBound:
         payload = json.loads(out)
         assert code == 0
         assert payload["count_enumerated"] == payload["count_formula"] == 112
+
+
+class TestWignerBound:
+    @pytest.mark.parametrize("argv", [
+        ("cv-wigner", "normcheck", "--points", "100000"),
+        ("cv-wigner", "normcheck", "--points", "65", "--nmax", "128", "--channel", "phase-damping"),
+        ("cv-wigner", "normcheck", "--points", "1", "--nmax", "129"),
+        ("cv-wigner", "point", "--nmax", "100000", "--channel", "phase-damping"),
+    ])
+    def test_refused_before_any_array(self, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("cv-wigner work started")
+
+        for module, name in ((cli.cv_wigner, "wigner_normalization_check"),
+                             (cli.cv_wigner, "spacetime_wigner_point"),
+                             (cli.cv_wigner, "fock_phase_damping"), (cli.channels, "identity_channel")):
+            monkeypatch.setattr(module, name, never)
+        code, err = exit_code(*argv)
+        assert code == 2
+        assert "exceeds" in err
+
+    def test_largest_cutoff_runs(self, capsys):
+        code, out, _ = run(capsys, "cv-wigner", "point", "--nmax", str(cli.MAX_FOCK_LEVELS),
+                           "--channel", "phase-damping")
+        assert code == 0
+        assert abs(json.loads(out)["wigner"] - 4.0) < 1e-9
 
 
 # -- fuzzing every experiment through its declared parameters -----------------
