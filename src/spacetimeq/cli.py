@@ -31,6 +31,12 @@ MAX_ENUMERATED_VERTICES, MAX_COUNT_BITS = 100_000, 4096
 #: Bounds of ``cv-wigner``: the most Fock levels (the phase-damping channel holds nmax^3 complex
 #: entries, 32 MiB at 128), and the most points^2 * nmax^3 of a normcheck (16 times its default)
 MAX_FOCK_LEVELS, MAX_NORMCHECK_WORK = 128, 2**32
+#: The most events of a ``pdm`` process (its matrix is 2^n x 2^n; at 10 events it builds in about
+#: 0.4 s and diagonalizes in 0.5 s) and the most times of a ``histories`` family (4^n decoherence entries)
+MAX_PDM_EVENTS, MAX_HISTORY_TIMES = 10, 6
+#: The largest ``otoc --d`` (dense d x d Haar unitaries), the largest ``otoc finalstate --n`` (its
+#: state holds n^3 complex entries, 32 MiB at 128) and the longest ``tc`` series (``--n``)
+MAX_OTOC_DIM, MAX_FINAL_STATE_DIM, MAX_SERIES_LENGTH = 512, 128, 10_000
 
 OBS_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
 
@@ -60,14 +66,15 @@ class InvariantViolation(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class Param:
-    """A declared parameter: flag, text conversion, default and domain (``lo``
-    inclusive, or ``choices``; a ``float`` one is finite). A ``bool`` one is a switch
+    """A declared parameter: flag, text conversion, default and domain (``lo`` and
+    ``hi`` inclusive, or ``choices``; a ``float`` one is finite). A ``bool`` one is a switch
     storing ``not default``; ``None`` (unset) is allowed only where it is the default."""
 
     flag: str
     type: Callable = str
     default: object = None
     lo: float | None = None
+    hi: float | None = None
     choices: tuple = ()
     help: str | None = None
     dest: str | None = None
@@ -95,6 +102,8 @@ class Param:
             raise ValueError(f"{self.flag} must be one of {'|'.join(self.choices)}, got {value!r}")
         elif self.lo is not None and not value >= self.lo:
             raise ValueError(f"{self.flag} must be >= {self.lo}, got {value}")
+        elif self.hi is not None and value > self.hi:
+            raise ValueError(f"{self.flag} {value} exceeds {self.hi}")
 
 
 class Experiment(NamedTuple):
@@ -125,7 +134,7 @@ CHANNEL_PARAMS = (Param("--channel", default="depolarizing",
                         choices=("identity", "depolarizing", "dephasing", "haar", "hadamard")),
                   P, LAM, SEED)
 CV_CHANNEL = Param("--channel", default="identity", choices=("identity", "phase-damping"))
-NMAX = Param("--nmax", int, 40, lo=2)
+NMAX = Param("--nmax", int, 40, lo=2, hi=MAX_FOCK_LEVELS)
 HISTORY_PARAMS = (STATE, Param("--paulis", default="Z,Z"),
                   Param("--unitary", default="identity", choices=("identity", "hadamard", "haar")),
                   SEED, TOL)
@@ -172,8 +181,12 @@ def _make_channel(name: str, p: float | None, lam: float | None, seed: int | Non
 
 def _temporal_process(p) -> pdm.TemporalProcess:
     """``--state`` followed by the ``--steps`` channels; step k draws from seed + k."""
+    tokens = [part.strip() for part in p.steps.split(",")]
+    n_events = 1 + sum(map(bool, tokens))
+    if n_events > MAX_PDM_EVENTS:
+        raise ValueError(f"--steps makes {n_events} events, which exceeds {MAX_PDM_EVENTS}")
     steps = []
-    for k, token in enumerate(part.strip() for part in p.steps.split(",")):
+    for k, token in enumerate(tokens):
         if token:
             name, _, arg = token.partition(":")
             value = float(arg) if arg and name in ("depolarizing", "dephasing") else None
@@ -250,15 +263,14 @@ def _gaussian_uncertainty(p):
 
 @experiment("gaussian.pt", Param("--r", float, 3.0), Param("--tol", float, 2e-5))
 def _gaussian_pt(p):
+    tmss = gaussian.two_mode_squeezed(p.r)  # refuses an r whose cosh(2r) overflows, before sinh(r)
     omts = gaussian.temporal_gaussian(gaussian.thermal(np.sinh(p.r) ** 2), np.eye(2))
     pt = gaussian.partial_transpose_gaussian(omts.cov, 0)
-    rel = float(np.max(np.abs(pt - gaussian.two_mode_squeezed(p.r).cov)) / np.cosh(2 * p.r))
+    rel = float(np.max(np.abs(pt - tmss.cov)) / np.cosh(2 * p.r))
     return _require(rel <= p.tol, f"partial transpose mismatch {rel} above tol {p.tol}",
                     {"max_relative_entry_error": rel, "pt_matches_tmss": bool(rel <= p.tol)})
 
 def _vacuum_and_channel(p):
-    if p.nmax > MAX_FOCK_LEVELS:
-        raise ValueError(f"--nmax {p.nmax} exceeds {MAX_FOCK_LEVELS} Fock levels")
     damped = p.channel == "phase-damping"
     ch = cv_wigner.fock_phase_damping(p.nmax) if damped else channels.identity_channel(p.nmax)
     return np.diag(np.eye(p.nmax, dtype=complex)[0]), ch  # the Fock vacuum |0><0|
@@ -320,6 +332,8 @@ def _process_vertices(p):
 
 def _history_family(p):
     paulis = _paulis(p.paulis)
+    if len(paulis) > MAX_HISTORY_TIMES:
+        raise ValueError(f"--paulis names {len(paulis)} times, which exceeds {MAX_HISTORY_TIMES}")
     us = [_unitary(p.unitary, p.seed) for _ in range(len(paulis) - 1)]
     return histories.pauli_history_family(QUBIT_STATES[p.state], paulis, us), paulis
 
@@ -348,13 +362,15 @@ def _histories_corr(p):
                     "history and measurement-cascade correlations disagree",
                     {"signed_diagonal_sum": df_value, "pdm_correlation": pdm_value})
 
-@experiment("otoc.direct", Param("--d", int, 4), SEED)
+OTOC_DIM = Param("--d", int, 4, lo=1, hi=MAX_OTOC_DIM)
+
+@experiment("otoc.direct", OTOC_DIM, SEED)
 def _otoc_direct(p):
     u, v, w = (_unitary("haar", p.seed, k, p.d) for k in range(3))
     val = otoc.otoc_direct(otoc.OtocSpec(v=v, w=w, u=u, rho=np.eye(p.d, dtype=complex) / p.d))
     return {"otoc_re": val.real, "otoc_im": val.imag}
 
-@experiment("otoc.pdm", Param("--d", int, 4), SEED)
+@experiment("otoc.pdm", OTOC_DIM, SEED)
 def _otoc_pdm(p):
     u, basis, b = (_unitary("haar", p.seed, k, p.d) for k in range(3))
     a = basis[:, : p.d // 2] @ linalg.dag(basis[:, : p.d // 2])
@@ -364,7 +380,7 @@ def _otoc_pdm(p):
                     {"via_pdm_re": via.real, "via_pdm_im": via.imag,
                      "direct_re": direct.real, "direct_im": direct.imag})
 
-@experiment("otoc.finalstate", Param("--n", int, 4), SEED)
+@experiment("otoc.finalstate", Param("--n", int, 4, lo=1, hi=MAX_FINAL_STATE_DIM), SEED)
 def _otoc_finalstate(p):
     s, psi = _unitary("haar", p.seed, 0, p.n), _unitary("haar", p.seed, 1, p.n)[:, 0]
     prob, out = otoc.final_state_conditional_output(psi, s)
@@ -379,7 +395,7 @@ def _otoc_harmonic(p):
     pi_value = otoc.harmonic_pi_correlation(p.omega, p.tau)
     return {"pdm": pdm_value, "path_integral": pi_value, "ratio": pdm_value / pi_value}
 
-@experiment("tc.decay", *CHANNEL_PARAMS, STATE, Param("--n", int, 20, lo=1),
+@experiment("tc.decay", *CHANNEL_PARAMS, STATE, Param("--n", int, 20, lo=1, hi=MAX_SERIES_LENGTH),
             Param("--obs", str.upper, "X", choices=tuple(OBS_INDEX)), rows=lambda p, body: [
                 {"channel": p.channel, "p": "" if p.p is None else p.p,
                  "lam": "" if p.lam is None else p.lam, "obs": p.obs, "N": k + 1, "corr": v}
@@ -389,7 +405,7 @@ def _tc_decay(p):
     series = timecrystal.channel_decay_series(QUBIT_STATES[p.state], ch, OBS_INDEX[p.obs], p.n)
     return {"series": list(series.values)}
 
-@experiment("tc.symm", P, LAM, Param("--n", int, 50, lo=1), rows=lambda p, body: [
+@experiment("tc.symm", P, LAM, Param("--n", int, 50, lo=1, hi=MAX_SERIES_LENGTH), rows=lambda p, body: [
     {**({"lam": p.lam} if p.lam is not None else {"p": p.p}), "N": k + 1, "corr": v}
     for k, v in enumerate(body["series"])])
 def _tc_symm(p):
@@ -399,8 +415,9 @@ def _tc_symm(p):
         raise ValueError("provide --p (depolarizing) or --lam (dephasing)")
     return {"series": list(timecrystal.symmetrization_series(p.p, p.n).values)}
 
-@experiment("tc.phaseflip", Param("--p", float, 0.05), Param("--n", int, 10, lo=1), rows=lambda p, body: [
-    {"p": p.p, "N": k + 1, "xx": xv, "zz": zv} for k, (xv, zv) in enumerate(zip(body["xx"], body["zz"]))])
+@experiment("tc.phaseflip", Param("--p", float, 0.05), Param("--n", int, 10, lo=1, hi=MAX_SERIES_LENGTH),
+            rows=lambda p, body: [{"p": p.p, "N": k + 1, "xx": xv, "zz": zv}
+                                  for k, (xv, zv) in enumerate(zip(body["xx"], body["zz"]))])
 def _tc_phaseflip(p):
     xx, zz = timecrystal.phase_flip_code_series(p.p, p.n)
     return {"xx": list(xx.values), "zz": list(zz.values)}

@@ -121,8 +121,10 @@ def spatial_wigner_point(rho12, alpha, beta, n_max: int) -> float:
     rho12 = np.asarray(rho12, dtype=complex)
     if rho12.shape != (n_max * n_max, n_max * n_max):
         raise ValueError("two-mode state dimension does not match n_max")
-    op = linalg.tensor(displaced_parity(alpha, n_max), displaced_parity(beta, n_max))
-    return float(np.real(np.trace(op @ rho12)))
+    # sum_ijkl T(alpha)_ij T(beta)_kl <jl|rho12|ik>, without forming the n_max^2 x n_max^2 product
+    value = np.einsum("ij,kl,jlik->", displaced_parity(alpha, n_max), displaced_parity(beta, n_max),
+                      rho12.reshape((n_max,) * 4))
+    return float(np.real(value))
 
 
 def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:

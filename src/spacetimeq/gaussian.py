@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 QUADS = ("q", "p")
+#: The largest finite float, which bounds the covariance entries of thermal and squeezed states
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,16 @@ def vacuum(n_modes: int = 1) -> GaussianState:
 
 def thermal(nbar: float) -> GaussianState:
     """One-mode thermal state with mean photon number nbar, cov = (2 nbar + 1) I."""
-    if nbar < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    if not 0.0 <= nbar <= _FLOAT_MAX / 4:  # also refuses NaN
+        raise ValueError(f"mean photon number nbar must be in [0, {_FLOAT_MAX / 4:.3g}], got {nbar}")
     return GaussianState(np.zeros(2), (2 * nbar + 1) * np.eye(2))
 
 
 def two_mode_squeezed(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with cosh/sinh(2r) covariance blocks."""
+    if not abs(2 * r) <= np.log(_FLOAT_MAX):  # also refuses NaN
+        raise ValueError(f"squeezing r must satisfy |r| <= {np.log(_FLOAT_MAX) / 2:.2f}, beyond which "
+                         f"cosh(2r) overflows, got {r}")
     c, s = np.cosh(2 * r), np.sinh(2 * r)
     cov = np.array(
         [

@@ -3,21 +3,22 @@
 A process is an initial state plus a chain of CPTP steps, one per gap
 between successive events. Correlations are expectation values of products
 of +/-1 measurement outcomes obtained from a projective cascade with
-Lueders updates; the pseudo-density matrix collects them over the Pauli
-basis. It is Hermitian and unit-trace but, unlike a density matrix, may
+Lueders updates; the pseudo-density matrix is the operator whose Pauli
+components are those correlations. It is built in closed form by an
+iterated Jordan product, and the cascade is its definition and test
+oracle. It is Hermitian and unit-trace but, unlike a density matrix, may
 carry negative eigenvalues; those are the signature of temporal
 correlations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from spacetimeq import linalg
-from spacetimeq.channels import KrausChannel, apply
+from spacetimeq.channels import KrausChannel, apply, choi_of_channel
 from spacetimeq.linalg import ATOL, dag
 
 
@@ -122,7 +123,13 @@ def event_correlation(proc: TemporalProcess, paulis) -> float:
 
 
 def build_pdm(proc: TemporalProcess) -> PDM:
-    """Assemble the pseudo-density matrix from all Pauli-string correlations."""
+    """The pseudo-density matrix (1/d^n) sum_s <sigma_s> sigma_s of the process.
+
+    It is the state over time R_1 = rho, R_{k+1} = (1/2){R_k (x) 1, 1 (x) J(E_k)}
+    with J(E) = sum_ij |i><j| (x) E(|j><i|) (Horsman et al., Proc. R. Soc. A 473,
+    20170395 (2017); Fullwood & Parzygnat, Proc. R. Soc. A 478 (2022)); the Pauli
+    components of the result are the cascade correlations of ``event_correlation``.
+    """
     d0 = proc.initial.shape[0]
     nq = int(round(np.log2(d0)))
     if 2**nq != d0:
@@ -130,17 +137,15 @@ def build_pdm(proc: TemporalProcess) -> PDM:
     for ch in proc.steps:
         if ch.in_dim != d0 or ch.out_dim != d0:
             raise ValueError("all event spaces must share the qubit dimension")
-    n = proc.n_events
-    strings_per_event = list(itertools.product(range(4), repeat=nq))
-    dim = d0**n
-    acc = np.zeros((dim, dim), dtype=complex)
-    for combo in itertools.product(strings_per_event, repeat=n):
-        corr = event_correlation(proc, list(combo))
-        if corr == 0.0:
-            continue
-        full = linalg.pauli_string_matrix([i for ev in combo for i in ev])
-        acc += corr * full
-    return PDM(n_events=n, qubits_per_event=nq, matrix=acc / dim)
+    r = proc.initial.copy()
+    for ch in proc.steps:
+        # J(E) is the Choi matrix with its factors swapped and its input transposed
+        j = choi_of_channel(ch).matrix.reshape(d0, d0, d0, d0).transpose(3, 0, 1, 2)
+        left = np.kron(r, np.eye(d0))
+        right = np.kron(np.eye(r.shape[0] // d0), j.reshape(d0 * d0, d0 * d0))
+        prod = left @ right
+        r = (prod + dag(prod)) / 2  # both factors are Hermitian, so right @ left = dag(prod)
+    return PDM(n_events=proc.n_events, qubits_per_event=nq, matrix=r)
 
 
 def spacelike_pdm(rho: np.ndarray, n_events: int) -> PDM:

@@ -103,24 +103,26 @@ def symmetrization_series(p: float, n_max: int) -> CorrelationSeries:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    vals = [1.0]
-    a = 1.0
-    for _ in range(n_max - 1):
-        a = 4.0 * a * (1.0 - p) / (3.0 + a * a * (1.0 - p) ** 2)
-        vals.append(a)
-    return CorrelationSeries(vals, label=f"symmetrization p={p}")
+    return CorrelationSeries(_symmetrized(1.0 - p, (1.0 - p) ** 2, n_max), label=f"symmetrization p={p}")
 
 
 def dephasing_symmetrization_series(lam: float, n_max: int) -> CorrelationSeries:
     """Dephasing analog, b_{n+1} = 4 b_n sqrt(1-lam) / (3 + b_n^2 (1-lam))."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
+    return CorrelationSeries(_symmetrized(np.sqrt(1.0 - lam), 1.0 - lam, n_max),
+                             label=f"symmetrization lambda={lam}")
+
+
+def _symmetrized(c: float, c2: float, n_max: int) -> list:
+    """x_1 = 1, x_{n+1} = 4 x_n c / (3 + x_n^2 c2) for a Bloch contraction c per round.
+
+    ``c2`` is c^2 as the caller computes it, so that each series keeps its own rounding.
+    """
     vals = [1.0]
-    b = 1.0
     for _ in range(n_max - 1):
-        b = 4.0 * b * np.sqrt(1.0 - lam) / (3.0 + b * b * (1.0 - lam))
-        vals.append(b)
-    return CorrelationSeries(vals, label=f"symmetrization lambda={lam}")
+        vals.append(4.0 * vals[-1] * c / (3.0 + vals[-1] * vals[-1] * c2))
+    return vals
 
 
 def symmetrization_fixed_point(p: float) -> float:

@@ -182,6 +182,9 @@ class TestContract:
         ("cv-wigner", "normcheck", "--radius", "inf", "--points", "4", "--nmax", "6"),
         ("cv-wigner", "point", "--alpha", "0.5,nan", "--nmax", "6"),
         ("otoc", "harmonic", "--tau", "nan"),
+        ("gaussian", "pt", "--r", "1e6"),
+        ("gaussian", "state", "--kind", "thermal:nan"),
+        ("gaussian", "state", "--kind", "tmss:1e6"),
     ])
     def test_out_of_domain_is_validation_error(self, argv):
         code, err = exit_code(*argv)
@@ -285,6 +288,66 @@ class TestWignerBound:
                            "--channel", "phase-damping")
         assert code == 0
         assert abs(json.loads(out)["wigner"] - 4.0) < 1e-9
+
+
+def fail_if_started(monkeypatch, *targets):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, never)
+
+
+class TestWorkBounds:
+    @pytest.mark.parametrize("command", ["build", "eigen", "monotone", "correlation", "tetra"])
+    def test_long_pdm_chains_refused_before_any_process(self, monkeypatch, command):
+        fail_if_started(monkeypatch, (cli.pdm, "build_pdm"), (cli.pdm, "event_correlation"),
+                        (cli.pdm, "TemporalProcess"), (cli.channels, "unitary_channel"))
+        steps = ",".join(["identity"] * cli.MAX_PDM_EVENTS)  # one event more than the bound
+        code, err = exit_code("pdm", command, "--steps", steps)
+        assert code == 2
+        assert "exceeds" in err
+
+    def test_longest_pdm_chain_runs(self, capsys):
+        steps = ",".join(["identity"] * (cli.MAX_PDM_EVENTS - 1))
+        code, out, _ = run(capsys, "pdm", "eigen", "--state", "zero", "--steps", steps)
+        assert code == 0
+        eigenvalues = json.loads(out)["eigenvalues"]
+        assert len(eigenvalues) == 2**cli.MAX_PDM_EVENTS
+        assert abs(sum(eigenvalues) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        *[("histories", command, "--paulis", ",".join("Z" * (cli.MAX_HISTORY_TIMES + 1)))
+          for command in ("df", "consistent", "corr")],
+        ("otoc", "direct", "--d", str(cli.MAX_OTOC_DIM + 1), "--seed", "1"),
+        ("otoc", "pdm", "--d", "2048", "--seed", "1"),
+        ("otoc", "finalstate", "--n", str(cli.MAX_FINAL_STATE_DIM + 1), "--seed", "1"),
+        ("tc", "decay", "--channel", "depolarizing", "--p", "0.1", "--n", "100000"),
+        ("tc", "symm", "--p", "0.1", "--n", "1000000"),
+        ("tc", "symm", "--lam", "0.1", "--n", str(cli.MAX_SERIES_LENGTH + 1)),
+        ("tc", "phaseflip", "--n", str(cli.MAX_SERIES_LENGTH + 1)),
+    ])
+    def test_refused_before_any_work(self, monkeypatch, argv):
+        fail_if_started(
+            monkeypatch, (cli.histories, "pauli_history_family"),
+            (cli.histories, "matching_process_correlation"), (cli.linalg, "haar_random_unitary"),
+            (cli.otoc, "otoc_direct"), (cli.otoc, "otoc_via_pdm"),
+            (cli.otoc, "final_state_conditional_output"), (cli.timecrystal, "channel_decay_series"),
+            (cli.timecrystal, "symmetrization_series"), (cli.timecrystal, "dephasing_symmetrization_series"),
+            (cli.timecrystal, "phase_flip_code_series"))
+        code, err = exit_code(*argv)
+        assert code == 2
+        assert "exceeds" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("histories", "corr", "--paulis", ",".join("Z" * cli.MAX_HISTORY_TIMES)),
+        ("otoc", "finalstate", "--n", str(cli.MAX_FINAL_STATE_DIM), "--seed", "1"),
+        ("tc", "decay", "--channel", "depolarizing", "--p", "0.1", "--n", str(cli.MAX_SERIES_LENGTH)),
+        ("tc", "symm", "--p", "0.1", "--n", str(cli.MAX_SERIES_LENGTH)),
+        ("tc", "phaseflip", "--n", str(cli.MAX_SERIES_LENGTH)),
+    ])
+    def test_bounds_are_inclusive(self, argv):
+        assert exit_code(*argv)[0] == 0
 
 
 # -- fuzzing every experiment through its declared parameters -----------------

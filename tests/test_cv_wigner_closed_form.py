@@ -179,6 +179,16 @@ class TestAgainstPerCellRoute:
         got = cv_wigner.spacetime_wigner_point(rho, ch, alpha, beta, n_max)
         assert abs(got - per_cell_wigner_point(rho, ch, alpha, beta, n_max)) < 1e-10
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_spatial_point_matches_product_operator(self, data):
+        n_max = data.draw(st.integers(2, 8))
+        rho12 = linalg.random_density_matrix(n_max * n_max, data.draw(st.integers(0, 2**16)))
+        alpha, beta = (complex(data.draw(st.floats(-2, 2)), data.draw(st.floats(-2, 2))) for _ in range(2))
+        op = linalg.tensor(expm_displaced_parity(alpha, n_max), expm_displaced_parity(beta, n_max))
+        want = np.real(np.trace(op @ rho12))
+        assert abs(cv_wigner.spatial_wigner_point(rho12, alpha, beta, n_max) - want) < 1e-10
+
     @pytest.mark.parametrize("entries", [1, 3 * 12 * 12])
     def test_normalization_independent_of_block_size(self, monkeypatch, entries):
         rho = linalg.random_density_matrix(12, 4)

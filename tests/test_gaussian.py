@@ -43,6 +43,19 @@ class TestConstructors:
         assert abs(cov[0, 2] - np.sinh(1.4)) < 1e-14
         assert abs(cov[1, 3] + np.sinh(1.4)) < 1e-14
 
+    @pytest.mark.parametrize("nbar", [float("nan"), float("inf"), 1e308])
+    def test_thermal_refuses_overflowing_occupation(self, nbar):
+        with pytest.raises(ValueError, match="nbar"):
+            thermal(nbar)
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), 1e6, -355.0])
+    def test_two_mode_squeezed_refuses_overflowing_squeezing(self, r):
+        with pytest.raises(ValueError, match="squeezing r"):
+            two_mode_squeezed(r)
+
+    def test_largest_squeezing_is_finite(self):
+        assert np.all(np.isfinite(two_mode_squeezed(354.8).cov))
+
     def test_constructors_satisfy_uncertainty(self):
         for state in (vacuum(), thermal(0.5), thermal(4.0), two_mode_squeezed(1.3)):
             assert uncertainty_ok(state.cov)

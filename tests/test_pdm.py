@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from spacetimeq import channels, linalg, pdm
-from spacetimeq.channels import depolarizing, identity_channel, random_channel, unitary_channel
+from spacetimeq.channels import (KrausChannel, depolarizing, discard_and_prepare, identity_channel,
+                                 random_channel, unitary_channel)
 from spacetimeq.linalg import I2, PAULIS, X, Y, Z, dag
 from spacetimeq.pdm import (
     PDM,
@@ -127,6 +129,67 @@ class TestBuildPdm:
             got = expectation_from_pdm(r, combo)
             want = event_correlation(proc, combo)
             assert abs(got - want) < 1e-10, combo
+
+
+def pauli_sum_pdm(proc):
+    """The definition (1/d^n) sum_s <sigma_s> sigma_s, with <sigma_s> from the cascade."""
+    d = proc.initial.shape[0]
+    per_event = [linalg.pauli_string_matrix(s) for s in itertools.product(range(4), repeat=int(np.log2(d)))]
+    acc = np.zeros((d**proc.n_events,) * 2, dtype=complex)
+    for combo in itertools.product(per_event, repeat=proc.n_events):
+        acc += event_correlation(proc, combo) * linalg.tensor(*combo)
+    return acc / d**proc.n_events
+
+
+def depolarizing_on(d, p, seed):
+    """Depolarizing noise on each qubit of a d-dimensional event, in a random basis."""
+    ops = depolarizing(p).operators
+    for _ in range(int(np.log2(d)) - 1):
+        ops = [linalg.tensor(a, b) for a in ops for b in depolarizing(p).operators]
+    u = linalg.haar_random_unitary(d, seed)
+    return KrausChannel([u @ k @ dag(u) for k in ops])
+
+
+@st.composite
+def steps(draw, d):
+    kind = draw(st.sampled_from(["random", "identity", "depolarizing", "discard"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "random":
+        return random_channel(d, draw(st.integers(1, 4)), seed)
+    if kind == "identity":
+        return identity_channel(d)
+    if kind == "depolarizing":
+        return depolarizing_on(d, draw(st.floats(0.0, 1.0)), seed)
+    return discard_and_prepare(linalg.random_density_matrix(d, seed))
+
+
+@st.composite
+def processes(draw):
+    qubits = draw(st.sampled_from([1, 2]))
+    d = 2**qubits
+    n_events = draw(st.integers(2, 4)) if qubits == 1 else 2
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        ket = linalg.haar_random_unitary(d, seed)[:, 0]
+        initial = np.outer(ket, ket.conj())
+    else:
+        initial = linalg.random_density_matrix(d, seed)
+    return TemporalProcess(initial, [draw(steps(d)) for _ in range(n_events - 1)])
+
+
+class TestClosedFormOracle:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(proc=processes())
+    def test_matches_pauli_sum_of_cascade_correlations(self, proc):
+        got = build_pdm(proc).matrix
+        assert np.max(np.abs(got - pauli_sum_pdm(proc))) <= 1e-12
+
+    def test_three_two_qubit_events(self):
+        proc = TemporalProcess(
+            linalg.random_density_matrix(4, 5),
+            [random_channel(4, 3, 6), random_channel(4, 1, 7)],
+        )
+        assert np.max(np.abs(build_pdm(proc).matrix - pauli_sum_pdm(proc))) <= 1e-12
 
 
 class TestExpectation:

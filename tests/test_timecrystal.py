@@ -110,6 +110,17 @@ class TestSymmetrization:
         for k in range(6):
             assert abs(recurrence[k] - brute[k]) < 1e-8
 
+    @pytest.mark.parametrize("noise", [0.0, 0.1, 0.2, 0.37, 0.9, 1.0])
+    def test_series_are_their_recurrences_exactly(self, noise):
+        a, b, want_a, want_b = 1.0, 1.0, [1.0], [1.0]
+        for _ in range(59):
+            a = 4.0 * a * (1.0 - noise) / (3.0 + a * a * (1.0 - noise) ** 2)
+            b = 4.0 * b * np.sqrt(1.0 - noise) / (3.0 + b * b * (1.0 - noise))
+            want_a.append(a)
+            want_b.append(b)
+        assert symmetrization_series(noise, 60).values == tuple(want_a)
+        assert dephasing_symmetrization_series(noise, 60).values == tuple(want_b)
+
     def test_fixed_point_domain(self):
         with pytest.raises(ValueError):
             symmetrization_fixed_point(0.3)
