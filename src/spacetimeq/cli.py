@@ -35,8 +35,13 @@ MAX_FOCK_LEVELS, MAX_NORMCHECK_WORK = 128, 2**32
 #: 0.4 s and diagonalizes in 0.5 s) and the most times of a ``histories`` family (4^n decoherence entries)
 MAX_PDM_EVENTS, MAX_HISTORY_TIMES = 10, 6
 #: The largest ``otoc --d`` (dense d x d Haar unitaries), the largest ``otoc finalstate --n`` (its
-#: state holds n^3 complex entries, 32 MiB at 128) and the longest ``tc`` series (``--n``)
+#: state holds n^3 complex entries, 32 MiB at 128) and the longest ``tc`` series (``--n``, and
+#: ``--periods`` + 1 entries of a Floquet series)
 MAX_OTOC_DIM, MAX_FINAL_STATE_DIM, MAX_SERIES_LENGTH = 512, 128, 10_000
+#: The most (periods + 1) * 8^length of ``tc floquet|spectrum``: each period, and the set-up, costs
+#: dense products of 2^length x 2^length matrices (the largest allowed call, 3 periods at 10 sites,
+#: takes about 3 s; 11 sites are refused at any period count)
+MAX_FLOQUET_WORK = 2**32
 
 OBS_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
 
@@ -139,7 +144,7 @@ HISTORY_PARAMS = (STATE, Param("--paulis", default="Z,Z"),
                   Param("--unitary", default="identity", choices=("identity", "hadamard", "haar")),
                   SEED, TOL)
 FLOQUET_PARAMS = (Param("--length", int, 8), Param("--epsilon", float, 0.05), Param("--site", int, 3),
-                  Param("--periods", int, 64, lo=0),
+                  Param("--periods", int, 64, lo=0, hi=MAX_SERIES_LENGTH - 1),
                   Param("--no-interactions", bool, True, dest="interactions"), SEED)
 # the global flags, accepted after the command too; unset ones keep the global values
 OUTPUT_PARAMS = (Param("--format", choices=("json", "csv")),
@@ -261,7 +266,7 @@ def _gaussian_uncertainty(p):
     state = _from_spec(p.kind, GAUSSIAN_STATES, "gaussian state")
     return {"uncertainty_ok": gaussian.uncertainty_ok(state.cov)}
 
-@experiment("gaussian.pt", Param("--r", float, 3.0), Param("--tol", float, 2e-5))
+@experiment("gaussian.pt", Param("--r", float, 3.0, lo=0.0), Param("--tol", float, 2e-5))
 def _gaussian_pt(p):
     tmss = gaussian.two_mode_squeezed(p.r)  # refuses an r whose cosh(2r) overflows, before sinh(r)
     omts = gaussian.temporal_gaussian(gaussian.thermal(np.sinh(p.r) ** 2), np.eye(2))
@@ -349,8 +354,9 @@ def _histories_df(p):
 @experiment("histories.consistent", *HISTORY_PARAMS)
 def _histories_consistent(p):
     fam = _history_family(p)[0]
-    return {"weak_consistent": histories.is_consistent(fam, tol=p.tol),
-            "strong_consistent": histories.is_consistent(fam, tol=p.tol, strong=True)}
+    strong = histories.is_consistent(fam, tol=p.tol, strong=True)
+    weak = strong or histories.is_consistent(fam, tol=p.tol)  # strong consistency implies weak
+    return {"weak_consistent": weak, "strong_consistent": strong}
 
 @experiment("histories.corr", *HISTORY_PARAMS)
 def _histories_corr(p):
@@ -425,6 +431,9 @@ def _tc_phaseflip(p):
 def _floquet_series(p) -> timecrystal.CorrelationSeries:
     if p.seed is None:
         raise ValueError("--seed is required (disorder realization)")
+    if 3 * p.length + np.log2(p.periods + 1) > np.log2(MAX_FLOQUET_WORK):
+        raise ValueError(f"--length {p.length} with --periods {p.periods} exceeds the budget "
+                         f"(periods + 1) * 8^length <= {MAX_FLOQUET_WORK}")
     spec = timecrystal.FloquetChainSpec(length=p.length, epsilon=p.epsilon,
                                         interactions=p.interactions, disorder_seed=p.seed)
     return timecrystal.floquet_correlation_series(spec, p.site, p.periods)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from spacetimeq import linalg
 from spacetimeq.linalg import dag
@@ -171,6 +170,8 @@ def harmonic_kernel_moment(m: float, omega: float, tau: float, quad_limit: float
     Serves as the independent quadrature oracle for
     ``harmonic_pdm_correlation`` (closed form = moment / 2).
     """
+    from scipy import integrate  # imported here so that importing the package loads no scipy
+
     _check_positive(m=m, omega=omega, tau=tau)
     s = np.sinh(omega * tau)
     c = np.cosh(omega * tau)

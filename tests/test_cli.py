@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +188,7 @@ class TestContract:
         ("gaussian", "pt", "--r", "1e6"),
         ("gaussian", "state", "--kind", "thermal:nan"),
         ("gaussian", "state", "--kind", "tmss:1e6"),
+        ("gaussian", "pt", "--r", "-1"),
     ])
     def test_out_of_domain_is_validation_error(self, argv):
         code, err = exit_code(*argv)
@@ -348,6 +352,44 @@ class TestWorkBounds:
     ])
     def test_bounds_are_inclusive(self, argv):
         assert exit_code(*argv)[0] == 0
+
+
+class TestFloquetBound:
+    @pytest.mark.parametrize("argv", [
+        ("--length", "8", "--periods", "256"),  # (periods + 1) * 8^length one period above the bound
+        ("--length", "11", "--periods", "0"),
+        ("--length", "1000000000", "--periods", "0"),
+        ("--length", "2", "--periods", str(cli.MAX_SERIES_LENGTH)),
+    ])
+    @pytest.mark.parametrize("command", ["floquet", "spectrum"])
+    def test_refused_before_any_work(self, monkeypatch, command, argv):
+        fail_if_started(monkeypatch, (cli.timecrystal, "FloquetChainSpec"),
+                        (cli.timecrystal, "floquet_unitary"), (cli.timecrystal, "floquet_correlation_series"),
+                        (cli.timecrystal, "basis_product_state"))
+        code, err = exit_code("tc", command, *argv, "--seed", "1")
+        assert code == 2
+        assert "exceeds" in err
+
+    def test_bound_is_inclusive(self, capsys):
+        assert (255 + 1) * 8**8 == cli.MAX_FLOQUET_WORK
+        code, out, _ = run(capsys, "tc", "floquet", "--length", "8", "--periods", "255", "--seed", "1")
+        assert code == 0
+        series = json.loads(out)["series"]
+        assert len(series) == 256 and series[0] == 1.0
+
+
+def test_cli_process_loads_no_scipy():
+    script = ("import contextlib, io, sys\n"
+              "import spacetimeq.cli as cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [cli.main(['pdm', 'eigen']),\n"
+              "             cli.main(['tc', 'spectrum', '--length', '6', '--seed', '1'])]\n"
+              "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0] []"
 
 
 # -- fuzzing every experiment through its declared parameters -----------------
