@@ -4,8 +4,9 @@
 typed parameters with defaults and domains, and CSV rows builder. ``main`` parses with the tree
 ``build_parser`` makes from it, merges a JSON config under the explicit flags, checks every domain,
 and stamps ``experiment`` and every resolved parameter (``params``) onto the payload, written as
-JSON or CSV to stdout or ``--out``. Exit codes: 0 success, 2 validation error, 3 invariant
-violation, 4 I/O failure. Seeds are mandatory for stochastic experiments.
+JSON or CSV to stdout or ``--out``. Exit codes: 0 success, 2 validation error (a result holding a
+NaN or an infinity included), 3 invariant violation, 4 I/O failure. Seeds are mandatory for
+stochastic experiments.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from typing import Callable, NamedTuple
 
@@ -164,6 +166,15 @@ def _require(ok: bool, message: str, body: dict) -> dict:
     return body
 
 
+def _finite(value) -> bool:
+    """Whether every float in a payload value is finite: JSON has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _unitary(name: str, seed: int | None, offset: int = 0, d: int = 2) -> np.ndarray:
     """A named qubit unitary, or a Haar-random d x d one drawn from ``seed + offset``."""
     if name == "haar":
@@ -271,9 +282,12 @@ def _gaussian_pt(p):
     tmss = gaussian.two_mode_squeezed(p.r)  # refuses an r whose cosh(2r) overflows, before sinh(r)
     omts = gaussian.temporal_gaussian(gaussian.thermal(np.sinh(p.r) ** 2), np.eye(2))
     pt = gaussian.partial_transpose_gaussian(omts.cov, 0)
-    rel = float(np.max(np.abs(pt - tmss.cov)) / np.cosh(2 * p.r))
-    return _require(rel <= p.tol, f"partial transpose mismatch {rel} above tol {p.tol}",
-                    {"max_relative_entry_error": rel, "pt_matches_tmss": bool(rel <= p.tol)})
+    # the cross entries differ by cosh(2r) - sinh(2r) = e^{-2r} exactly; checked is the distance from that
+    gap, exact, scale = np.max(np.abs(pt - tmss.cov)), np.exp(-2 * p.r), np.cosh(2 * p.r)
+    rel, residual = float(gap / scale), float(abs(gap - exact) / scale)
+    return _require(residual <= p.tol, f"partial transpose gap off e^-2r by {residual}, above tol {p.tol}",
+                    {"max_relative_entry_error": rel, "pt_matches_tmss": bool(rel <= p.tol),
+                     "exact_relative_entry_error": float(exact / scale), "gap_residual": residual})
 
 def _vacuum_and_channel(p):
     damped = p.channel == "phase-damping"
@@ -428,12 +442,15 @@ def _tc_phaseflip(p):
     xx, zz = timecrystal.phase_flip_code_series(p.p, p.n)
     return {"xx": list(xx.values), "zz": list(zz.values)}
 
-def _floquet_series(p) -> timecrystal.CorrelationSeries:
+def _floquet_series(p, min_length: int = 1) -> timecrystal.CorrelationSeries:
+    """The ``--periods`` + 1 entries of the series, refused before any work when fewer than ``min_length``."""
     if p.seed is None:
         raise ValueError("--seed is required (disorder realization)")
     if 3 * p.length + np.log2(p.periods + 1) > np.log2(MAX_FLOQUET_WORK):
         raise ValueError(f"--length {p.length} with --periods {p.periods} exceeds the budget "
                          f"(periods + 1) * 8^length <= {MAX_FLOQUET_WORK}")
+    if p.periods + 1 < min_length:
+        raise ValueError(f"--periods must be >= {min_length - 1} ({min_length} samples), got {p.periods}")
     spec = timecrystal.FloquetChainSpec(length=p.length, epsilon=p.epsilon,
                                         interactions=p.interactions, disorder_seed=p.seed)
     return timecrystal.floquet_correlation_series(spec, p.site, p.periods)
@@ -446,7 +463,8 @@ def _tc_floquet(p):
 
 @experiment("tc.spectrum", *FLOQUET_PARAMS)
 def _tc_spectrum(p):
-    return dataclasses.asdict(timecrystal.subharmonic_peak(_floquet_series(p)))
+    series = _floquet_series(p, min_length=timecrystal.MIN_SPECTRAL_SAMPLES)
+    return dataclasses.asdict(timecrystal.subharmonic_peak(series))
 
 @experiment("cj.of-channel", *CHANNEL_PARAMS)
 def _cj_of_channel(p):
@@ -572,16 +590,23 @@ def main(argv=None) -> int:
             p.check(value)
             params[p.name] = value
         resolved = argparse.Namespace(**params)
-        body = exp.run(resolved)
-        rows = exp.rows(resolved, body) if exp.rows else None
-    except InvariantViolation as exc:
-        _emit_payload({"experiment": name, "params": params, **exc.payload}, None, fmt, out_path)
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        violation = None
+        with np.errstate(all="ignore"):  # overflow and NaN are refused below, not warned about
+            try:
+                body = exp.run(resolved)
+            except InvariantViolation as exc:
+                body, violation = exc.payload, exc
+        if not _finite(body):
+            raise ValueError("the result holds a NaN or an infinity")
+        rows = exp.rows(resolved, body) if exp.rows and violation is None else None
     except (ValueError, IndexError, KeyError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return _emit_payload({"experiment": name, "params": params, **body}, rows, fmt, out_path)
+    code = _emit_payload({"experiment": name, "params": params, **body}, rows, fmt, out_path)
+    if violation is None:
+        return code
+    print(f"invariant violation: {violation}", file=sys.stderr)
+    return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

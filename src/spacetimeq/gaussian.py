@@ -6,9 +6,10 @@ follows the doubled convention
     sigma_ij = 2 <{x_i, x_j}> - 2 <x_i><x_j>,
 
 so the vacuum has sigma = I and a physical state obeys sigma + i Omega >= 0.
-Spacetime Gaussian states are built from the statistics of sequential
-quadrature measurements; their covariance may violate that uncertainty
-relation, which is the temporal signature.
+Spacetime Gaussian states are defined by the statistics of sequential
+quadrature measurements (``quadrature_temporal_correlation``) and built in
+closed form by ``temporal_gaussian``; their covariance may violate that
+uncertainty relation, which is the temporal signature.
 """
 
 from __future__ import annotations
@@ -186,14 +187,14 @@ def temporal_gaussian(
     initial: GaussianState,
     step: np.ndarray,
     noise: np.ndarray | None = None,
-    resolutions=(1e2, 1e3, 1e4),
 ) -> SpacetimeGaussian:
-    """Two-time spacetime Gaussian state of one mode.
+    """Two-time spacetime Gaussian state of one mode, in closed form.
 
-    Cross-time covariances come from the measurement cascade (extrapolated
-    to sharp measurements); same-time blocks are the symmetrized moments of
-    the state at that time, so the event-1 block is the initial covariance
-    and the event-2 block belongs to the evolved marginal.
+    Gamma = [[sigma_1, sigma_1 S^T], [S sigma_1, S sigma_1 S^T + Y]] with means (mu_1, S mu_1).
+    The cross block is what the measurement cascade reads at every resolution: in
+    ``quadrature_temporal_correlation`` the outcome gain 1/var_y1 cancels the factor var_y1, so
+    its sharp limit needs no extrapolation. Zero-mean additive noise Y enters only the event-2 block,
+    the covariance of the evolved marginal.
     """
     if initial.n_modes != 1:
         raise ValueError("temporal_gaussian handles a single mode at two times")
@@ -202,20 +203,11 @@ def temporal_gaussian(
         raise ValueError("step must be a one-mode symplectic matrix")
     y = np.zeros((2, 2)) if noise is None else np.asarray(noise, dtype=float)
 
-    mu1 = initial.mean
-    mu2 = s @ mu1
     sig1 = initial.cov
-    sig2 = s @ sig1 @ s.T + y
-
-    cross = np.zeros((2, 2))
-    for i, lab1 in enumerate(QUADS):
-        for j, lab2 in enumerate(QUADS):
-            corr = extrapolated_temporal_correlation(initial, s, lab1, lab2, resolutions)
-            cross[i, j] = 2.0 * corr - 2.0 * mu1[i] * mu2[j]
-
-    cov = np.block([[sig1, cross], [cross.T, sig2]])
+    cross = sig1 @ s.T
+    cov = np.block([[sig1, cross], [cross.T, s @ sig1 @ s.T + y]])
     cov = (cov + cov.T) / 2.0
-    return SpacetimeGaussian(np.concatenate([mu1, mu2]), cov)
+    return SpacetimeGaussian(np.concatenate([initial.mean, s @ initial.mean]), cov)
 
 
 def partial_transpose_gaussian(cov: np.ndarray, mode: int) -> np.ndarray:

@@ -291,16 +291,14 @@ def floquet_correlation_series(
     series starts at the trivial same-time value 1.
     """
     L = spec.length
-    if signs is None:
-        signs = [1] * L
+    signs = [1] * L if signs is None else list(signs)
     rho = basis_product_state(signs, L)
+    if not 0 <= site < L:
+        raise IndexError(f"site {site} out of range for {L} qubits")
     uf = floquet_unitary(spec)
-    sigma = linalg.site_operator(Z, site, L)
-    plus, minus = linalg.dichotomic_projectors(sigma)
-    signed = plus @ rho @ plus - minus @ rho @ minus
-    z = np.diag(sigma).real  # sigma is diagonal, so Tr[sigma C] reads only the diagonal of C
+    current = rho if signs[site] > 0 else -rho  # P+ rho P+ - P- rho P-, as rho is a Z_site eigenstate
+    z = 1 - 2 * (np.arange(2**L) >> (L - 1 - site) & 1)  # diag(Z_site); site 0 is the highest bit
     vals = []
-    current = signed
     for _ in range(n_periods + 1):
         vals.append(float(z @ np.diag(current).real))
         current = uf @ current @ dag(uf)
@@ -310,9 +308,7 @@ def floquet_correlation_series(
 def floquet_correlation_at(spec: FloquetChainSpec, site: int, n_periods: int, signs=None) -> float:
     """Single-period-count correlation through the generic event cascade."""
     L = spec.length
-    if signs is None:
-        signs = [1] * L
-    rho = basis_product_state(signs, L)
+    rho = basis_product_state([1] * L if signs is None else signs, L)
     uf = floquet_unitary(spec)
     u_total = np.linalg.matrix_power(uf, n_periods)
     proc = TemporalProcess(rho, [KrausChannel([u_total])])
@@ -321,6 +317,8 @@ def floquet_correlation_at(spec: FloquetChainSpec, site: int, n_periods: int, si
 
 
 # -- spectral diagnostics --------------------------------------------------------
+
+MIN_SPECTRAL_SAMPLES = 16  # the fewest samples subharmonic_peak accepts
 
 
 @dataclass(frozen=True)
@@ -343,8 +341,8 @@ def subharmonic_peak(series: CorrelationSeries | list | tuple) -> SubharmonicPea
     vals = np.asarray(
         series.values if isinstance(series, CorrelationSeries) else series, dtype=float
     )
-    if vals.size < 16:
-        raise ValueError("need at least 16 samples for the spectral diagnostic")
+    if vals.size < MIN_SPECTRAL_SAMPLES:
+        raise ValueError(f"need at least {MIN_SPECTRAL_SAMPLES} samples for the spectral diagnostic")
     if vals.size % 2 == 1:
         vals = vals[1:]
     n = vals.size

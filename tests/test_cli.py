@@ -80,6 +80,23 @@ class TestPayloads:
         assert code == 0
         assert "e-" in out
 
+    @pytest.mark.parametrize("r", ["0", "2", "3", "50"])
+    def test_gaussian_pt_checks_the_exact_gap(self, capsys, r):
+        code, out, _ = run(capsys, "gaussian", "pt", "--r", r)
+        assert code == 0
+        payload = json.loads(out)
+        r = float(r)
+        assert payload["exact_relative_entry_error"] == np.exp(-2 * r) / np.cosh(2 * r)
+        assert payload["gap_residual"] <= 1e-15
+        assert payload["pt_matches_tmss"] == (payload["max_relative_entry_error"] <= 2e-5)
+
+    def test_gaussian_pt_exits_3_when_the_gap_is_off(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.gaussian, "partial_transpose_gaussian", lambda cov, mode: cov)  # no flip
+        code, out, err = run(capsys, "gaussian", "pt", "--r", "1")
+        assert code == 3
+        assert json.loads(out)["gap_residual"] > 1.0
+        assert "invariant violation" in err
+
     def test_correlate_has_parameters(self, capsys):
         code, out, _ = run(capsys, "process", "correlate", "--u", "haar", "--seed", "5",
                            "--i", "X", "--j", "Y")
@@ -160,15 +177,29 @@ class TestConfig:
         assert code == 4
 
 
-def exit_code(*argv):
-    """Exit code and stderr of one in-process call, argparse exits included."""
+def call(*argv):
+    """Exit code, stdout and stderr of one in-process call, argparse exits included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def exit_code(*argv):
+    """Exit code and stderr of one in-process call, argparse exits included."""
+    code, _, err = call(*argv)
+    return code, err
+
+
+def strict_json(text: str):
+    """Parse a payload as strict JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestContract:
@@ -189,11 +220,28 @@ class TestContract:
         ("gaussian", "state", "--kind", "thermal:nan"),
         ("gaussian", "state", "--kind", "tmss:1e6"),
         ("gaussian", "pt", "--r", "-1"),
+        ("gaussian", "temporal", "--step", "squeeze:400"),
+        ("otoc", "harmonic", "--m", "1e-310"),
+        ("otoc", "harmonic", "--tau", "1e-200"),
+        ("gaussian", "temporal", "--step", "squeeze:1e6"),
+        ("tc", "floquet", "--length", "4", "--site", "-1", "--periods", "2", "--seed", "1"),
     ])
     def test_out_of_domain_is_validation_error(self, argv):
         code, err = exit_code(*argv)
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_refused_without_payload(self, fmt):
+        code, out, err = call("gaussian", "temporal", "--step", "squeeze:400", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines() == ["invalid parameters: the result holds a NaN or an infinity"]
+
+    def test_non_finite_invariant_payload_is_refused(self, monkeypatch):
+        monkeypatch.setattr(cli.gaussian, "partial_transpose_gaussian", lambda cov, mode: cov * np.inf)
+        code, out, err = call("gaussian", "pt", "--r", "1")
+        assert (code, out) == (2, "")
+        assert "NaN or an infinity" in err
 
     def test_config_with_equals_sign(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -370,6 +418,19 @@ class TestFloquetBound:
         assert code == 2
         assert "exceeds" in err
 
+    def test_short_spectrum_refused_before_any_work(self, monkeypatch):
+        fail_if_started(monkeypatch, (cli.timecrystal, "FloquetChainSpec"),
+                        (cli.timecrystal, "floquet_unitary"), (cli.timecrystal, "floquet_correlation_series"),
+                        (cli.timecrystal, "basis_product_state"))
+        code, err = exit_code("tc", "spectrum", "--length", "4", "--periods", "14", "--seed", "1")
+        assert code == 2
+        assert "--periods must be >= 15" in err
+
+    def test_shortest_spectrum_runs(self, capsys):
+        code, out, _ = run(capsys, "tc", "spectrum", "--length", "4", "--periods", "15", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["params"]["periods"] == 15
+
     def test_bound_is_inclusive(self, capsys):
         assert (255 + 1) * 8**8 == cli.MAX_FLOQUET_WORK
         code, out, _ = run(capsys, "tc", "floquet", "--length", "8", "--periods", "255", "--seed", "1")
@@ -447,9 +508,11 @@ def invocations(draw, name):
 @given(data=st.data())
 def test_fuzzed_arguments_keep_the_exit_contract(name, data):
     argv = data.draw(invocations(name))
-    code, err = exit_code(*argv)
+    code, out, err = call(*argv)
     assert code in (0, 2, 3, 4), (argv, code)
     assert "Traceback" not in err
+    if code in (0, 3) and "csv" not in argv:
+        strict_json(out)
 
 
 def readme_invocations():
