@@ -1,5 +1,17 @@
 """Quantum channels as Kraus families and their Choi matrices.
 
+``apply`` takes one of two routes, chosen once from the operators when the
+channel is built. When every column of every Kraus operator holds at most one
+nonzero entry (diagonal, permutation-times-diagonal and single-entry families,
+such as dephasing, depolarizing, phase damping and discard-and-prepare of a
+basis state), K_k sends |i> to c_i |a_i>, and the superoperator
+S = sum_k K_k (x) conj(K_k) has one nonzero c_i conj(c_j) from entry (i, j) to
+entry (a_i, a_j) per ordered pair of nonzeros of one operator. Those nonzeros
+are cached, and ``apply`` gathers and scatters them in O(sum_k nnz(K_k)^2)
+instead of 2 r d^3 for the dense products. Every other family (Haar unitaries,
+random channels, preparation of a non-basis state) takes the Kraus sum
+``sum_k K rho K^dag``.
+
 Choi convention: the unnormalized maximally entangled vector
 ``|I>> = sum_n |n>|n>`` with the *output* factor first, so the Choi matrix
 of a map E from dimension d0 to d1 is
@@ -27,6 +39,10 @@ class KrausChannel:
     operators: tuple[np.ndarray, ...]
     in_dim: int = field(init=False)
     out_dim: int = field(init=False)
+    # nonzeros of the superoperator of a column-sparse family (see _sparse_superoperator), else None
+    _superop: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, operators, atol: float = 1e-8):
         ops = tuple(np.asarray(k, dtype=complex) for k in operators)
@@ -35,15 +51,52 @@ class KrausChannel:
         out_dim, in_dim = ops[0].shape
         if any(k.shape != (out_dim, in_dim) for k in ops):
             raise ValueError("all Kraus operators must share one shape")
-        total = sum(dag(k) @ k for k in ops)
+        superop = _sparse_superoperator(ops, out_dim, in_dim)
+        if superop is None:
+            total = sum(dag(k) @ k for k in ops)
+        else:  # Tr E(|i><j|) = (sum_k K^dag K)[j, i]: the weights landing on the diagonal
+            dst, src, left, right = superop
+            on_diagonal = dst % (out_dim + 1) == 0
+            total = _scatter(src[on_diagonal], left[on_diagonal] * right[on_diagonal], in_dim).T
         if not np.allclose(total, np.eye(in_dim), atol=atol, rtol=0.0):
             raise ValueError("Kraus operators do not sum to the identity (not CPTP)")
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "in_dim", in_dim)
         object.__setattr__(self, "out_dim", out_dim)
+        object.__setattr__(self, "_superop", superop)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return apply(self, rho)
+
+
+def _sparse_superoperator(ops, out_dim: int, in_dim: int):
+    """Nonzeros of sum_k K_k (x) conj(K_k), or None unless every column of every K_k holds at most
+    one nonzero entry.
+
+    One entry per ordered pair of nonzeros K[a, i] = c_i, K[b, j] = c_j of one operator, as flat
+    arrays: destination a d_out + b, source i d_in + j, and the weight c_i conj(c_j) kept as its
+    two factors, so that ``apply`` multiplies in the order of the Kraus sum's products.
+    """
+    dst, src, left, right = [], [], [], []
+    for k in ops:
+        nonzero = k != 0
+        if np.any(np.count_nonzero(nonzero, axis=0) > 1):
+            return None
+        a, i = np.nonzero(nonzero)
+        c = k[a, i]
+        dst.append((a[:, None] * out_dim + a).ravel())
+        src.append((i[:, None] * in_dim + i).ravel())
+        left.append(np.repeat(c, c.size))
+        right.append(np.tile(c.conj(), c.size))
+    return tuple(np.concatenate(part) for part in (dst, src, left, right))
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
+    """The d x d matrix whose flat entry m is the sum of the values at index m."""
+    out = np.empty(d * d, dtype=complex)
+    out.real = np.bincount(index, values.real, minlength=d * d)
+    out.imag = np.bincount(index, values.imag, minlength=d * d)
+    return out.reshape(d, d)
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -51,6 +104,9 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.in_dim, ch.in_dim):
         raise ValueError(f"state shape {rho.shape} does not match in_dim {ch.in_dim}")
+    if ch._superop is not None:
+        dst, src, left, right = ch._superop
+        return _scatter(dst, left * rho.ravel()[src] * right, ch.out_dim)
     out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
     for k in ch.operators:
         out += k @ rho @ dag(k)

@@ -54,9 +54,10 @@ def channel_decay_series(rho, ch: KrausChannel, obs: int, n_max: int) -> Correla
     signed = plus @ rho @ plus - minus @ rho @ minus
     vals = []
     current = signed
-    for _ in range(n_max):
+    for k in range(n_max):
+        if k:
+            current = apply(ch, current)
         vals.append(float(np.real(np.trace(sigma @ current))))
-        current = apply(ch, current)
     return CorrelationSeries(vals, label=f"obs={obs}")
 
 
@@ -298,10 +299,10 @@ def floquet_correlation_series(
     uf = floquet_unitary(spec)
     current = rho if signs[site] > 0 else -rho  # P+ rho P+ - P- rho P-, as rho is a Z_site eigenstate
     z = 1 - 2 * (np.arange(2**L) >> (L - 1 - site) & 1)  # diag(Z_site); site 0 is the highest bit
-    vals = []
-    for _ in range(n_periods + 1):
-        vals.append(float(z @ np.diag(current).real))
+    vals = [float(z @ np.diag(current).real)]
+    for _ in range(n_periods):
         current = uf @ current @ dag(uf)
+        vals.append(float(z @ np.diag(current).real))
     return CorrelationSeries(vals, label=f"floquet site={site}")
 
 

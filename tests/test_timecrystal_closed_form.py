@@ -5,10 +5,11 @@ single-site kick with ``expm``; the oracle series takes Tr[sigma C] from the ful
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from spacetimeq import linalg, timecrystal as tc
+from spacetimeq import channels, linalg, timecrystal as tc
 from spacetimeq.linalg import X, Z, dag
 
 
@@ -64,3 +65,24 @@ def test_series_matches_the_trace_loop(spec, data):
     n_periods = data.draw(st.integers(0, 24))
     got = tc.floquet_correlation_series(spec, site, n_periods, signs).values
     assert np.max(np.abs(np.array(got) - trace_loop_series(spec, site, n_periods, signs))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+def test_series_evolve_only_between_reads(monkeypatch, n):
+    """A series of k values takes k - 1 evolutions: none after its last read."""
+    counts = {"apply": 0, "dag": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(tc, "apply", counting("apply", tc.apply))
+    monkeypatch.setattr(tc, "dag", counting("dag", tc.dag))
+    rho = linalg.random_density_matrix(2, n)
+    assert len(tc.channel_decay_series(rho, channels.dephasing(0.4), 1, n)) == n
+    assert counts["apply"] == max(n - 1, 0)
+    assert len(tc.floquet_correlation_series(tc.FloquetChainSpec(length=3), 1, n)) == n + 1
+    assert counts["dag"] == n
