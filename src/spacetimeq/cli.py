@@ -326,7 +326,7 @@ def _process_correlate(p):
     closed = 0.5 * float(np.real(np.trace(linalg.PAULIS[j] @ u @ linalg.PAULIS[i] @ linalg.dag(u))))
     return {"correlation": value, "closed_form": closed}
 
-@experiment("process.gyni", Param("--demo", default="paper"))
+@experiment("process.gyni", Param("--demo", default="paper", choices=("paper",)))
 def _process_gyni(p):
     (g, l), (g2, l2) = process_matrix.gyni_demo(), process_matrix.pdm_gyni_demo()
     return _require(abs(g - g2) <= 1e-10 and abs(l - l2) <= 1e-10,
@@ -532,7 +532,7 @@ def _payload_to_csv(payload: dict, rows) -> str:
 
 
 def _emit_payload(payload: dict, rows, fmt: str, out_path) -> int:
-    text = _payload_to_csv(payload, rows) if fmt == "csv" else json.dumps(payload, indent=2, sort_keys=True)
+    text = _payload_to_csv(payload, rows) if fmt == "csv" else json.dumps(payload, sort_keys=True)
     if out_path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         return EXIT_OK

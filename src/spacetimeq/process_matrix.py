@@ -6,11 +6,17 @@ input factor first, C(M) = sum_{ij} |i><j| (x) M(|i><j|), and correlations
 read p(a,b|x,y) = Tr[W^T (A_{a|x} (x) B_{b|y})] with the transpose taken
 over all four factors.
 
-Validity requires W >= 0, Tr W = d_{A_O} d_{B_O}, and invariance under the
-projector onto the span of allowed term types: in the traceless-basis
-decomposition a valid W contains only the identity, reduced states on the
-input spaces, and the two one-way signalling families; everything touching
-an output space alone (local or global loops) is projected away.
+Validity requires W >= 0, Tr W = d_{A_O} d_{B_O}, and L_V(W) = W for the
+projector onto the valid subspace, in closed form as seven signed
+trace-and-replace terms (Araujo et al., New J. Phys. 17, 102001 (2015)):
+
+    L_V(W) = _{A_O}W + _{B_O}W - _{A_O B_O}W - _{B_I B_O}W + _{A_O B_I B_O}W
+             - _{A_I A_O}W + _{A_I A_O B_O}W,   _X W = (1_X / d_X) (x) Tr_X W.
+
+In the traceless-basis decomposition a valid W contains only the identity,
+reduced states on the input spaces, and the two one-way signalling families;
+L_V keeps exactly those and projects away everything touching an output space
+alone (local or global loops).
 """
 
 from __future__ import annotations
@@ -26,18 +32,9 @@ from spacetimeq.linalg import I2, KET0, KET1, X, Z
 SLOTS = ("A_I", "A_O", "B_I", "B_O")
 KETS = (KET0, KET1)
 
-#: Subsets of slots on which a term may act nontrivially in a valid W.
-ALLOWED_TERM_TYPES = frozenset(
-    [
-        frozenset(),
-        frozenset({"A_I"}),
-        frozenset({"B_I"}),
-        frozenset({"A_I", "B_I"}),
-        frozenset({"A_O", "B_I"}),
-        frozenset({"A_I", "A_O", "B_I"}),
-        frozenset({"A_I", "B_O"}),
-        frozenset({"A_I", "B_I", "B_O"}),
-    ]
+#: The (sign, slot indices) of L_V's seven trace-and-replace terms, slots indexing ``SLOTS``.
+VALID_SUBSPACE_TERMS = (
+    (1, (1,)), (1, (3,)), (-1, (1, 3)), (-1, (2, 3)), (1, (1, 2, 3)), (-1, (0, 1)), (1, (0, 1, 3)),
 )
 
 
@@ -73,49 +70,22 @@ class ProcessValidity:
 
 
 def trace_and_replace(w: np.ndarray, dims, slots) -> np.ndarray:
-    """Replace the listed tensor factors by normalized identities.
+    """The prescript map _X W = (1_X / d_X) (x) Tr_X W over the slot indices in ``slots``.
 
-    This is the prescript map _X W = (1_X / d_X) (x) Tr_X W, applied to
-    every slot index in ``slots``.
+    Works on the (dims) x 2 tensor: per slot, trace the row and column axes, tensor in 1/d, and
+    move the two new axes back into place.
     """
-    out = np.asarray(w, dtype=complex)
-    for slot in sorted(slots):
-        n = len(dims)
-        keep = [k for k in range(n) if k != slot]
-        reduced = linalg.partial_trace(out, dims, keep=keep)
-        eye = np.eye(dims[slot], dtype=complex) / dims[slot]
-        out = _insert_factor(reduced, [dims[k] for k in keep], eye, slot)
-    return out
-
-
-def _insert_factor(m: np.ndarray, dims_wo, factor: np.ndarray, position: int) -> np.ndarray:
-    """Tensor ``factor`` into ``m`` so it sits at ``position`` among the factors."""
-    left = int(np.prod(dims_wo[:position])) if position > 0 else 1
-    right = int(np.prod(dims_wo[position:])) if position < len(dims_wo) else 1
-    d_f = factor.shape[0]
-    t = m.reshape(left, right, left, right)
-    # row axes (left, factor, right), column axes likewise
-    out = np.einsum("abcd,ef->aebcfd", t, factor, optimize=True)
-    return out.reshape(left * d_f * right, left * d_f * right)
-
-
-def _component(w: np.ndarray, dims, nontrivial: frozenset) -> np.ndarray:
-    """Part of w acting nontrivially exactly on the named slots."""
-    out = np.asarray(w, dtype=complex)
-    for k, name in enumerate(SLOTS):
-        replaced = trace_and_replace(out, dims, [k])
-        if name in nontrivial:
-            out = out - replaced  # traceless part on this slot
-        else:
-            out = replaced  # identity part on this slot
-    return out
+    n = len(dims)
+    t = np.asarray(w, dtype=complex).reshape(tuple(dims) * 2)
+    for k in sorted(slots):
+        t = np.multiply.outer(np.trace(t, axis1=k, axis2=n + k), np.eye(dims[k]) / dims[k])
+        t = np.moveaxis(t, (-2, -1), (k, n + k))
+    return t.reshape(np.shape(w))
 
 
 def lv_project(w: ProcessMatrix) -> ProcessMatrix:
-    """Project onto the linear span of valid process-matrix terms."""
-    acc = np.zeros_like(np.asarray(w.w, dtype=complex))
-    for term_type in ALLOWED_TERM_TYPES:
-        acc += _component(w.w, w.dims, term_type)
+    """Project onto the valid subspace: the signed sum of _X W over ``VALID_SUBSPACE_TERMS``."""
+    acc = sum(sign * trace_and_replace(w.w, w.dims, slots) for sign, slots in VALID_SUBSPACE_TERMS)
     return ProcessMatrix(w=acc, dims=w.dims)
 
 
@@ -139,21 +109,14 @@ def is_valid_process(w: ProcessMatrix, tol: float = 1e-8) -> ProcessValidity:
 # -- local operations ---------------------------------------------------------
 
 
-def choi_input_first(kraus_ops) -> np.ndarray:
-    """Choi matrix sum_{ij} |i><j| (x) M(|i><j|) of a CP map (input first).
-
-    In closed form sum_k vec(K^T) vec(K^T)^dag with vec = ravel, the factor swap of
-    ``channels.choi_of_channel``.
-    """
-    vecs = [np.asarray(k, dtype=complex).T.ravel() for k in kraus_ops]
-    return sum(np.outer(v, v.conj()) for v in vecs)
-
-
 def maxent_choi(u: np.ndarray | None = None, d: int = 2) -> np.ndarray:
-    """[[U]] = (1 (x) U) sum_{ij}|ii><jj| (1 (x) U^dag); identity when U is None."""
-    if u is None:
-        u = np.eye(d, dtype=complex)
-    return choi_input_first([u])
+    """[[U]] = sum_{ij} |i><j| (x) U|i><j|U^dag = vec(U^T) vec(U^T)^dag, vec = ravel; U = 1_d if None.
+
+    The input-first Choi matrix of U: the factor swap of ``channels.choi_of_channel``, the
+    package's one Choi builder, on ``channels.unitary_channel(U)``.
+    """
+    v = (np.eye(d, dtype=complex) if u is None else np.asarray(u, dtype=complex)).T.ravel()
+    return np.outer(v, v.conj())
 
 
 @dataclass(frozen=True)
@@ -323,54 +286,53 @@ def ancilla_pdm(x: int, y: int) -> np.ndarray:
     )
 
 
-def pdm_gyni_demo() -> tuple[float, float]:
-    """Scores of the ancilla route: inputs live in ancilla registers.
+def ancilla_probability_table(w: ProcessMatrix, a: Instrument, b: Instrument) -> dict:
+    """``probability_table`` through the ancilla route: the inputs live in ancilla registers.
 
     Each party applies one fixed input-controlled instrument
     hat A_a = sum_x |x><x| (x) A_{a|x} to its ancilla-process pair; the
-    ancilla preparation |x><x| selects the branch. Evaluating the controlled
-    instruments against ancilla (x) process reproduces the same traces as
-    the direct process pairing.
+    ancilla preparation |x><x| selects the branch, so pairing the controlled
+    instruments against ancilla (x) process reproduces the direct traces.
     """
-    w = ocb_process()
-    inst = violating_operations()
     table = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            anc = linalg.tensor(linalg.projector(KETS[x]), linalg.projector(KETS[y]))
-            background = _expand_ancilla(anc, w.w)
-            for a in (0, 1):
-                for b in (0, 1):
-                    joint = linalg.tensor(_controlled_op(inst, a), _controlled_op(inst, b))
-                    table[(a, b, x, y)] = float(np.real(np.trace(background.T @ joint)))
-    return gyni_score(table), lgyni_score(table)
+    for i, x in enumerate(a.inputs()):
+        for j, y in enumerate(b.inputs()):
+            background = _expand_ancilla(_ancilla(a, i), _ancilla(b, j), w)
+            for ao in a.outcomes(x):
+                for bo in b.outcomes(y):
+                    joint = linalg.tensor(_controlled_op(a, ao), _controlled_op(b, bo))
+                    table[(ao, bo, x, y)] = float(np.real(np.trace(background.T @ joint)))
+    return table
+
+
+def pdm_gyni_demo() -> tuple[float, float]:
+    """GYNI and LGYNI scores of the violating process and operations, through the ancilla route."""
+    inst = violating_operations()
+    p = ancilla_probability_table(ocb_process(), inst, inst)
+    return gyni_score(p), lgyni_score(p)
+
+
+def _ancilla(inst: Instrument, index: int) -> np.ndarray:
+    """|x><x| for the input at ``index`` of ``inst.inputs()``, on one ancilla level per input."""
+    return np.diag(np.eye(len(inst.inputs()))[index])
 
 
 def _controlled_op(inst: Instrument, outcome: int) -> np.ndarray:
     """hat A_a = sum_x |x><x| (x) A_{a|x} on ancilla (x) input (x) output."""
-    blocks = [np.asarray(inst.cj_ops[(outcome, x)], dtype=complex) for x in (0, 1)]
-    out = np.zeros((8, 8), dtype=complex)
-    for x, blk in enumerate(blocks):
-        out += linalg.tensor(linalg.projector(KETS[x]), blk)
-    return out
+    return sum(linalg.tensor(_ancilla(inst, i), inst.cj_ops[(outcome, x)])
+               for i, x in enumerate(inst.inputs()) if (outcome, x) in inst.cj_ops)
 
 
-def _expand_ancilla(anc: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Arrange X (x) Y ancillas and W into X A_I A_O Y B_I B_O order.
+def _expand_ancilla(anc_a: np.ndarray, anc_b: np.ndarray, w: ProcessMatrix) -> np.ndarray:
+    """Arrange the X (x) Y ancillas and W into X A_I A_O Y B_I B_O order.
 
     The ancilla transposes cancel because the preparations are real
     projectors, so the combined background pairs against the controlled
     instruments exactly as W^T pairs against A (x) B.
     """
-    # anc on X (x) Y ; w on A_I A_O B_I B_O
-    full = linalg.tensor(anc, w)  # X Y A_I A_O B_I B_O
-    dims = (2, 2, 4, 4)
-    # permute to X A_IA_O Y B_IB_O
-    t = full.reshape(dims + dims)
-    perm = (0, 2, 1, 3)
-    t = t.transpose(perm + tuple(p + 4 for p in perm))
-    d = 64
-    return t.reshape(d, d)
+    dims = (len(anc_a), len(anc_b), w.dims[0] * w.dims[1], w.dims[2] * w.dims[3])
+    t = linalg.tensor(anc_a, anc_b, w.w).reshape(dims * 2).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    return t.reshape(int(np.prod(dims)), -1)
 
 
 # -- causal polytope -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -55,6 +56,22 @@ class TestPayloads:
         assert abs(payload["gyni"] - target) < 1e-10
         assert abs(payload["lgyni"] - target - 0.25) < 1e-10
         assert payload["violates_gyni"] and payload["violates_lgyni"]
+
+    @pytest.mark.parametrize("demo,expected", [("paper", 0), ("anything", 2)])
+    def test_gyni_demo_accepts_only_the_paper(self, demo, expected):
+        assert call("process", "gyni", "--demo", demo)[0] == expected
+
+    def test_pdm_build_out_parses_back_to_the_built_matrix(self, tmp_path):
+        target = tmp_path / "pdm.json"
+        argv = ("pdm", "build", "--state", "plus", "--steps", "haar,depolarizing:0.2,haar", "--seed", "7")
+        assert call(*argv, "--out", str(target))[0] == 0
+        text = target.read_text()
+        assert "\n" not in text  # one compact line
+        payload = json.loads(text)
+        process = cli._temporal_process(argparse.Namespace(**payload["params"]))
+        np.testing.assert_array_equal(
+            np.array(payload["matrix_real"]) + 1j * np.array(payload["matrix_imag"]),
+            cli.pdm.build_pdm(process).matrix)
 
     def test_tc_decay_csv(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +8,10 @@ from numpy.testing import assert_allclose
 from spacetimeq import channels, linalg, process_matrix as pmx
 from spacetimeq.linalg import I2, PAULIS, X, Z, dag
 from spacetimeq.process_matrix import (
-    ALLOWED_TERM_TYPES,
     Instrument,
     ProcessMatrix,
     SLOTS,
+    ancilla_probability_table,
     count_causal_vertices,
     enumerate_causal_vertices,
     gyni_demo,
@@ -20,6 +22,7 @@ from spacetimeq.process_matrix import (
     lv_project,
     maxent_choi,
     ocb_process,
+    pauli_measure_forward_instrument,
     pauli_pair_correlation,
     pdm_gyni_demo,
     probability_table,
@@ -30,6 +33,49 @@ from spacetimeq.process_matrix import (
 
 CLOSED_FORM_GYNI = (5.0 / 16.0) * (1.0 + 1.0 / np.sqrt(2.0))
 INV_SQRT8 = 1.0 / (2.0 * np.sqrt(2.0))
+
+#: Subsets of slots on which a term may act nontrivially in a valid W: the term-type oracle of
+#: ``lv_project``, which must keep exactly these components.
+ALLOWED_TERM_TYPES = frozenset(
+    [
+        frozenset(),
+        frozenset({"A_I"}),
+        frozenset({"B_I"}),
+        frozenset({"A_I", "B_I"}),
+        frozenset({"A_O", "B_I"}),
+        frozenset({"A_I", "A_O", "B_I"}),
+        frozenset({"A_I", "B_O"}),
+        frozenset({"A_I", "B_I", "B_O"}),
+    ]
+)
+
+
+def _component(w, dims, nontrivial):
+    """Part of w acting nontrivially exactly on the named slots."""
+    out = np.asarray(w, dtype=complex)
+    for k, name in enumerate(SLOTS):
+        replaced = pmx.trace_and_replace(out, dims, [k])
+        out = out - replaced if name in nontrivial else replaced
+    return out
+
+
+def term_type_projection(w, dims):
+    """The valid-subspace projector as the sum of the allowed term-type components."""
+    return sum(_component(w, dims, term_type) for term_type in ALLOWED_TERM_TYPES)
+
+
+def random_hermitian(d, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return h + dag(h)
+
+
+def assert_same_tables(w, a, b):
+    direct = probability_table(w, a, b)
+    ancilla = ancilla_probability_table(w, a, b)
+    assert ancilla.keys() == direct.keys()
+    for key, value in direct.items():
+        assert abs(ancilla[key] - value) < 1e-12, key
 
 
 def pauli_term(pattern):
@@ -59,7 +105,7 @@ class TestProjector:
         all_patterns = [
             frozenset(s)
             for k in range(5)
-            for s in __import__("itertools").combinations(SLOTS, k)
+            for s in itertools.combinations(SLOTS, k)
         ]
         for pattern in all_patterns:
             if pattern in ALLOWED_TERM_TYPES:
@@ -84,6 +130,34 @@ class TestProjector:
     def test_trace_preserved_on_fixed_space(self):
         w = ocb_process()
         assert abs(np.trace(lv_project(w).w) - np.trace(w.w)) < 1e-12
+
+    @pytest.mark.parametrize("dims", list(itertools.product((1, 2, 3), repeat=4)))
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_seven_term_form_equals_the_term_type_oracle(self, dims, seed):
+        h = random_hermitian(int(np.prod(dims)), seed)
+        projected = lv_project(ProcessMatrix(w=h, dims=dims)).w
+        assert_allclose(projected, term_type_projection(h, dims), rtol=0, atol=1e-12)
+
+
+@st.composite
+def product_operators(draw):
+    """Random factors F_0..F_3 of local dimension 1-3 and a slot set to replace."""
+    dims = draw(st.tuples(*[st.integers(1, 3)] * 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+    return dims, factors, draw(st.sets(st.integers(0, 3)))
+
+
+class TestTraceAndReplace:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(product_operators())
+    def test_replaces_each_named_factor_by_its_normalized_trace(self, case):
+        dims, factors, slots = case
+        want = linalg.tensor(*[np.trace(f) * np.eye(len(f)) / len(f) if k in slots else f
+                               for k, f in enumerate(factors)])
+        got = pmx.trace_and_replace(linalg.tensor(*factors), dims, slots)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestValidity:
@@ -172,6 +246,15 @@ class TestGames:
         assert abs(g - g2) < 1e-10
         assert abs(l - l2) < 1e-10
 
+    def test_ancilla_table_equals_direct_table_on_the_violating_pair(self):
+        inst = violating_operations()
+        assert_same_tables(ocb_process(), inst, inst)
+
+    @pytest.mark.parametrize("i,j", list(itertools.product((1, 2, 3), repeat=2)))
+    def test_ancilla_table_equals_direct_table_on_pauli_events(self, i, j):
+        w = identity_process(u=linalg.haar_random_unitary(2, 10 * i + j))
+        assert_same_tables(w, pauli_measure_forward_instrument(i), pauli_measure_forward_instrument(j))
+
     def test_ancilla_state_shares_signal_terms(self):
         w = ocb_process().w
         for x in (0, 1):
@@ -223,6 +306,9 @@ def kraus_families(draw):
     return [u[k * d_out:(k + 1) * d_out, :d_in] for k in range(rank)]
 
 
+haar_unitaries = st.builds(linalg.haar_random_unitary, st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
 def basis_units(d):
     eye = np.eye(d, dtype=complex)
     return [np.outer(eye[i], eye[j]) for i in range(d) for j in range(d)]
@@ -230,20 +316,26 @@ def basis_units(d):
 
 class TestChoiConventions:
     @settings(max_examples=40, deadline=None)
-    @given(kraus_families())
-    def test_input_first_is_the_factor_swap_of_output_first(self, ops):
-        ch = channels.KrausChannel(ops)
-        d_out, d_in = ch.out_dim, ch.in_dim
-        t = channels.choi_of_channel(ch).matrix.reshape(d_out, d_in, d_out, d_in)
-        swapped = t.transpose(1, 0, 3, 2).reshape(d_in * d_out, d_in * d_out)
-        assert_allclose(pmx.choi_input_first(ops), swapped, atol=1e-14)
+    @given(haar_unitaries)
+    def test_input_first_is_the_factor_swap_of_output_first(self, u):
+        d = len(u)
+        t = channels.choi_of_channel(channels.unitary_channel(u)).matrix.reshape(d, d, d, d)
+        swapped = t.transpose(1, 0, 3, 2).reshape(d * d, d * d)
+        assert_allclose(maxent_choi(u), swapped, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(haar_unitaries)
+    def test_both_match_their_definitions(self, u):
+        ch = channels.unitary_channel(u)
+        units = basis_units(len(u))
+        output_first = sum(np.kron(u @ e @ dag(u), e) for e in units)
+        input_first = sum(np.kron(e, u @ e @ dag(u)) for e in units)
+        assert_allclose(channels.choi_of_channel(ch).matrix, output_first, atol=1e-12)
+        assert_allclose(maxent_choi(u), input_first, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(kraus_families())
-    def test_both_match_their_definitions(self, ops):
+    def test_output_first_matches_its_definition_on_non_square_kraus_operators(self, ops):
         ch = channels.KrausChannel(ops)
-        units = basis_units(ch.in_dim)
-        output_first = sum(np.kron(channels.apply(ch, e), e) for e in units)
-        input_first = sum(np.kron(e, channels.apply(ch, e)) for e in units)
+        output_first = sum(np.kron(channels.apply(ch, e), e) for e in basis_units(ch.in_dim))
         assert_allclose(channels.choi_of_channel(ch).matrix, output_first, atol=1e-12)
-        assert_allclose(pmx.choi_input_first(ops), input_first, atol=1e-12)
