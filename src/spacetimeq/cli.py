@@ -34,8 +34,12 @@ MAX_ENUMERATED_VERTICES, MAX_COUNT_BITS = 100_000, 4096
 #: entries, 32 MiB at 128), and the most points^2 * nmax^3 of a normcheck (16 times its default)
 MAX_FOCK_LEVELS, MAX_NORMCHECK_WORK = 128, 2**32
 #: The most events of a ``pdm`` process (its matrix is 2^n x 2^n; at 10 events it builds in about
-#: 0.4 s and diagonalizes in 0.5 s) and the most times of a ``histories`` family (4^n decoherence entries)
-MAX_PDM_EVENTS, MAX_HISTORY_TIMES = 10, 6
+#: 0.4 s and diagonalizes in 0.5 s)
+MAX_PDM_EVENTS = 10
+#: The most times of a ``histories`` family, per command: ``df`` writes all 4^n entries (0.67 MB of
+#: JSON at 6 times), ``consistent`` holds the 4^n complex decoherence array (16 MiB at 10 times), and
+#: ``corr`` pays for its measurement-cascade cross-check (about 0.2 s at 12 times)
+MAX_HISTORY_TIMES = {"df": 6, "consistent": 10, "corr": 12}
 #: The largest ``otoc --d`` (dense d x d Haar unitaries), the largest ``otoc finalstate --n`` (its
 #: state holds n^3 complex entries, 32 MiB at 128) and the longest ``tc`` series (``--n``, and
 #: ``--periods`` + 1 entries of a Floquet series)
@@ -226,7 +230,11 @@ def _parse_complex(text: str) -> complex:
 
 
 def _paulis(spec: str) -> list:
-    return [OBS_INDEX[t.strip().upper()] for t in spec.split(",")]
+    tokens = [t.strip().upper() for t in spec.split(",")]
+    for k, t in enumerate(tokens, 1):
+        if t not in OBS_INDEX:
+            raise ValueError(f"--paulis entry {k} is {t!r}, expected one of I, X, Y, Z")
+    return [OBS_INDEX[t] for t in tokens]
 
 
 # -- the experiments, in catalog order; each returns its payload body ------------
@@ -318,10 +326,11 @@ def _process_validate(p):
                     {"is_valid": v.is_valid, **dataclasses.asdict(v)})
 
 @experiment("process.correlate", Param("--u", default="identity", choices=("identity", "haar")), SEED,
-            Param("--i", default="Z"), Param("--j", default="Z"))
+            Param("--i", str.upper, "Z", choices=tuple(OBS_INDEX)),
+            Param("--j", str.upper, "Z", choices=tuple(OBS_INDEX)))
 def _process_correlate(p):
     u = _unitary(p.u, p.seed)
-    i, j = OBS_INDEX[p.i.upper()], OBS_INDEX[p.j.upper()]
+    i, j = OBS_INDEX[p.i], OBS_INDEX[p.j]
     value = process_matrix.pauli_pair_correlation(process_matrix.identity_process(u=u), i, j)
     closed = 0.5 * float(np.real(np.trace(linalg.PAULIS[j] @ u @ linalg.PAULIS[i] @ linalg.dag(u))))
     return {"correlation": value, "closed_form": closed}
@@ -349,16 +358,16 @@ def _process_vertices(p):
     return _require(enumerated == count, "vertex enumeration disagrees with the closed form",
                     {"count_formula": count, "count_enumerated": enumerated})
 
-def _history_family(p):
-    paulis = _paulis(p.paulis)
-    if len(paulis) > MAX_HISTORY_TIMES:
-        raise ValueError(f"--paulis names {len(paulis)} times, which exceeds {MAX_HISTORY_TIMES}")
+def _history_family(p, command: str):
+    paulis, bound = _paulis(p.paulis), MAX_HISTORY_TIMES[command]
+    if len(paulis) > bound:
+        raise ValueError(f"--paulis names {len(paulis)} times, which exceeds {bound} for histories {command}")
     us = [_unitary(p.unitary, p.seed) for _ in range(len(paulis) - 1)]
     return histories.pauli_history_family(QUBIT_STATES[p.state], paulis, us), paulis
 
 @experiment("histories.df", *HISTORY_PARAMS, rows=lambda p, body: body["entries"])
 def _histories_df(p):
-    entries = histories.decoherence_matrix(_history_family(p)[0])
+    entries = histories.decoherence_matrix(_history_family(p, "df")[0])
     total = sum(entries.values())
     rows = [{"state": p.state, "paulis": p.paulis, "unitary": p.unitary, "hist": "".join(map(str, ha)),
              "hist_prime": "".join(map(str, hb)), "re": v.real, "im": v.imag}
@@ -367,17 +376,15 @@ def _histories_df(p):
 
 @experiment("histories.consistent", *HISTORY_PARAMS)
 def _histories_consistent(p):
-    fam = _history_family(p)[0]
-    strong = histories.is_consistent(fam, tol=p.tol, strong=True)
-    weak = strong or histories.is_consistent(fam, tol=p.tol)  # strong consistency implies weak
-    return {"weak_consistent": weak, "strong_consistent": strong}
+    d = histories.decoherence_array(_history_family(p, "consistent")[0])
+    return {"weak_consistent": histories.max_interference(d) <= p.tol,
+            "strong_consistent": histories.max_interference(d, strong=True) <= p.tol}
 
 @experiment("histories.corr", *HISTORY_PARAMS)
 def _histories_corr(p):
-    fam, paulis = _history_family(p)
+    fam, paulis = _history_family(p, "corr")
     df_value = histories.pdm_correlation_from_df(fam)
-    us = [_unitary(p.unitary, p.seed)] * (len(paulis) - 1)
-    pdm_value = histories.matching_process_correlation(QUBIT_STATES[p.state], paulis, us)
+    pdm_value = histories.matching_process_correlation(fam.initial, paulis, fam.unitaries)
     return _require(abs(df_value - pdm_value) <= 1e-10,
                     "history and measurement-cascade correlations disagree",
                     {"signed_diagonal_sum": df_value, "pdm_correlation": pdm_value})

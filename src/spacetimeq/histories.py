@@ -8,10 +8,19 @@ projector set per time, and a unitary per gap. The decoherence functional
 is evaluated in the Heisenberg picture built from the supplied
 Schroedinger-picture unitaries. Diagonal entries are history probabilities
 whenever the family is consistent.
+
+``decoherence_functional`` is the definition, one entry at a time. Every other
+reader works from the class operators C_a = P~_n(a_n) ... P~_1(a_1) of all
+histories at once (``class_operators``), grown as a prefix tree: each time
+multiplies every class operator so far by each of its Heisenberg projectors.
+With rows A_a = vec(C_a rho) and B_a = vec(C_a), the whole matrix is one
+product, D = A B^dagger (``decoherence_array``); consistency, coarse-grained
+entries and the signed diagonal sum are read off D or its diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -89,47 +98,84 @@ def decoherence_functional(f: HistoryFamily, hist, hist_prime) -> complex:
     return complex(np.trace(chain @ left @ dag(chain_prime)))
 
 
+def class_operators(f: HistoryFamily) -> np.ndarray:
+    """The class operators C_a = P~_n(a_n) ... P~_1(a_1), shape (N, d, d), in ``f.labels()`` order."""
+    d = f.initial.shape[0]
+    u_total = np.eye(d, dtype=complex)  # U_{t-1} ... U_1, one conjugation per projector
+    ops = u_total[None]
+    for t, group in enumerate(f.projector_sets):
+        if t:
+            u_total = f.unitaries[t - 1] @ u_total
+        heis = np.array([dag(u_total) @ p @ u_total for p in group])
+        # the label at time t varies fastest, as in itertools.product
+        ops = (heis[None] @ ops[:, None]).reshape(-1, d, d)
+    return ops
+
+
+def _vec_rows(f: HistoryFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A_a = vec(C_a rho) and B_a = vec(C_a), so that D = A B^dagger."""
+    c = class_operators(f)
+    return (c @ f.initial).reshape(len(c), -1), c.reshape(len(c), -1)
+
+
+def decoherence_array(f: HistoryFamily) -> np.ndarray:
+    """D as an N x N array, rows and columns in ``f.labels()`` order."""
+    a, b = _vec_rows(f)
+    return a @ b.conj().T
+
+
 def decoherence_matrix(f: HistoryFamily) -> dict:
     """The full complex map over pairs of history labels."""
     labels = list(f.labels())
-    return {
-        (ha, hb): decoherence_functional(f, ha, hb) for ha in labels for hb in labels
-    }
+    return dict(zip(itertools.product(labels, labels), decoherence_array(f).ravel().tolist()))
+
+
+def max_interference(d: np.ndarray, strong: bool = False) -> float:
+    """Largest off-diagonal |D| (strong) or |Re D| (weak) of a decoherence array; 0 for one history."""
+    size = np.abs(d) if strong else np.abs(d.real)
+    np.fill_diagonal(size, 0.0)
+    return float(size.max())
 
 
 def is_consistent(f: HistoryFamily, tol: float = 1e-10, strong: bool = False) -> bool:
     """Weak (real-part) or strong (modulus) consistency of the family."""
-    for ha in f.labels():
-        for hb in f.labels():
-            if ha == hb:
-                continue
-            d = decoherence_functional(f, ha, hb)
-            size = abs(d) if strong else abs(d.real)
-            if size > tol:
-                return False
-    return True
+    return max_interference(decoherence_array(f), strong) <= tol
+
+
+def _check_partitions(f: HistoryFamily, partitions) -> None:
+    """Each time's label groups must be disjoint and cover every fine label once."""
+    if len(partitions) != f.n_times:
+        raise ValueError("partitions must hold one list of label groups per time")
+    for t, groups in enumerate(partitions):
+        fine = sorted(i for g in groups for i in g)
+        if fine != list(range(len(f.projector_sets[t]))):
+            raise ValueError(
+                f"label groups at time {t} must be disjoint and cover labels "
+                f"0..{len(f.projector_sets[t]) - 1} once each, got {fine}"
+            )
 
 
 def coarse_grained_functional(f: HistoryFamily, partitions, bar_hist, bar_hist_prime) -> complex:
-    """D over coarse labels, summing the fine-grained functional.
+    """D over coarse labels, a block sum of the fine-grained decoherence array.
 
     ``partitions`` holds, per time, a list of label groups; coarse label k
     at time t stands for every fine label in partitions[t][k].
     """
+    _check_partitions(f, partitions)
     groups = [partitions[t][bar_hist[t]] for t in range(f.n_times)]
     groups_prime = [partitions[t][bar_hist_prime[t]] for t in range(f.n_times)]
-    total = 0.0 + 0.0j
-    for fine in itertools.product(*groups):
-        for fine_prime in itertools.product(*groups_prime):
-            total += decoherence_functional(f, fine, fine_prime)
-    return total
+    sizes = tuple(len(s) for s in f.projector_sets)
+    block = np.ix_(*(np.asarray(g, dtype=np.intp) for g in groups + groups_prime))
+    return complex(decoherence_array(f).reshape(sizes + sizes)[block].sum())
 
 
 def coarse_grained_family(f: HistoryFamily, partitions) -> HistoryFamily:
     """New family whose projectors are the sums over each label group."""
+    _check_partitions(f, partitions)
     sets = []
     for t, groups in enumerate(partitions):
-        sets.append(tuple(sum(f.projector_sets[t][i] for i in g) for g in groups))
+        zero = np.zeros_like(f.projector_sets[t][0])  # the projector of an empty group
+        sets.append(tuple(sum((f.projector_sets[t][i] for i in g), zero) for g in groups))
     return HistoryFamily(f.initial, sets, f.unitaries)
 
 
@@ -150,13 +196,10 @@ def pdm_correlation_from_df(f: HistoryFamily) -> float:
     """
     if any(len(s) != 2 for s in f.projector_sets):
         raise ValueError("signed sum needs a (+, -) projector pair at every time")
-    total = 0.0
-    for labels in f.labels():
-        sign = 1.0
-        for a in labels:
-            sign *= 1.0 if a == 0 else -1.0
-        total += sign * decoherence_functional(f, labels, labels).real
-    return float(total)
+    a, b = _vec_rows(f)
+    diagonal = np.einsum("ij,ij->i", a, b.conj()).real  # Re D(a, a) = Re Tr(C_a rho C_a^dagger)
+    signs = functools.reduce(np.kron, [np.array([1.0, -1.0])] * f.n_times)
+    return float(signs @ diagonal)
 
 
 def matching_process_correlation(initial, pauli_indices, unitaries) -> float:

@@ -123,6 +123,29 @@ class TestPayloads:
         assert abs(payload["correlation"] - payload["closed_form"]) < 1e-10
 
 
+class TestHistoriesConsistent:
+    @pytest.mark.parametrize("argv,weak,strong", [
+        (("--state", "plus", "--paulis", "Z,Z"), True, True),
+        (("--state", "plus", "--unitary", "hadamard", "--paulis", "Z,Z"), False, False),
+        (("--state", "mixed", "--unitary", "hadamard", "--paulis", "Z,X,Z"), True, True),
+        (("--state", "zero", "--paulis", "X,Y"), True, False),
+        (("--unitary", "haar", "--seed", "4", "--paulis", "X,Z,Y"), False, False),
+    ])
+    def test_both_flags_from_one_array(self, capsys, monkeypatch, argv, weak, strong):
+        is_consistent, decoherence_array = cli.histories.is_consistent, cli.histories.decoherence_array
+        families = []
+        monkeypatch.setattr(cli.histories, "decoherence_array",
+                            lambda f: families.append(f) or decoherence_array(f))
+        fail_if_started(monkeypatch, (cli.histories, "is_consistent"),
+                        (cli.histories, "decoherence_functional"))
+        code, out, _ = run(capsys, "histories", "consistent", *argv)
+        assert code == 0 and len(families) == 1
+        payload = json.loads(out)
+        assert (payload["weak_consistent"], payload["strong_consistent"]) == (weak, strong)
+        assert weak is is_consistent(families[0], tol=1e-8)
+        assert strong is is_consistent(families[0], tol=1e-8, strong=True)
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         args = ("tc", "floquet", "--length", "4", "--periods", "20", "--seed", "7")
@@ -141,6 +164,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "otoc", "direct", "--d", "4")
         assert code == 2
         assert "seed" in err
+
+    @pytest.mark.parametrize("experiment", [("histories", "corr"), ("histories", "df"), ("pdm", "correlation")])
+    @pytest.mark.parametrize("spec,token", [("Z,,Z", "''"), ("Q", "'Q'"), ("Z,X,W", "'W'")])
+    def test_unknown_pauli_letter_is_named(self, capsys, experiment, spec, token):
+        code, _, err = run(capsys, *experiment, "--paulis", spec)
+        assert code == 2
+        assert token in err and "I, X, Y, Z" in err
+
+    @pytest.mark.parametrize("flag", ["--i", "--j"])
+    def test_unknown_correlate_observable(self, flag):
+        code, err = exit_code("process", "correlate", flag, "Q")
+        assert code == 2
+        assert "'Q'" in err and "invalid choice" in err
+        assert exit_code("process", "correlate", flag, "x")[0] == 0
 
     def test_bad_parameter_value(self, capsys):
         code, _, err = run(capsys, "tc", "decay", "--channel", "depolarizing", "--p", "1.5")
@@ -386,7 +423,7 @@ class TestWorkBounds:
         assert abs(sum(eigenvalues) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("argv", [
-        *[("histories", command, "--paulis", ",".join("Z" * (cli.MAX_HISTORY_TIMES + 1)))
+        *[("histories", command, "--paulis", ",".join("Z" * (cli.MAX_HISTORY_TIMES[command] + 1)))
           for command in ("df", "consistent", "corr")],
         ("otoc", "direct", "--d", str(cli.MAX_OTOC_DIM + 1), "--seed", "1"),
         ("otoc", "pdm", "--d", "2048", "--seed", "1"),
@@ -409,7 +446,7 @@ class TestWorkBounds:
         assert "exceeds" in err
 
     @pytest.mark.parametrize("argv", [
-        ("histories", "corr", "--paulis", ",".join("Z" * cli.MAX_HISTORY_TIMES)),
+        ("histories", "corr", "--paulis", ",".join("Z" * cli.MAX_HISTORY_TIMES["corr"])),
         ("otoc", "finalstate", "--n", str(cli.MAX_FINAL_STATE_DIM), "--seed", "1"),
         ("tc", "decay", "--channel", "depolarizing", "--p", "0.1", "--n", str(cli.MAX_SERIES_LENGTH)),
         ("tc", "symm", "--p", "0.1", "--n", str(cli.MAX_SERIES_LENGTH)),
@@ -417,6 +454,15 @@ class TestWorkBounds:
     ])
     def test_bounds_are_inclusive(self, argv):
         assert exit_code(*argv)[0] == 0
+
+    @pytest.mark.parametrize("command", ["df", "consistent", "corr"])
+    def test_history_bound_per_command(self, command):
+        bound = cli.MAX_HISTORY_TIMES[command]
+        argv = ("histories", command, "--unitary", "haar", "--seed", "5", "--paulis")
+        assert exit_code(*argv, ",".join("XYZ"[k % 3] for k in range(bound)))[0] == 0
+        code, err = exit_code(*argv, ",".join("XYZ"[k % 3] for k in range(bound + 1)))
+        assert code == 2
+        assert f"exceeds {bound}" in err
 
 
 class TestFloquetBound:

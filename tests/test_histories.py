@@ -1,16 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from spacetimeq import channels, histories, linalg, pdm
 from spacetimeq.histories import (
     HistoryFamily,
+    class_operators,
     coarse_grained_family,
     coarse_grained_functional,
+    decoherence_array,
     decoherence_functional,
     decoherence_matrix,
     is_consistent,
     matching_process_correlation,
+    max_interference,
     pauli_history_family,
     pdm_correlation_from_df,
     signalling_game_probability,
@@ -156,6 +162,170 @@ class TestCoarseGraining:
                 direct = decoherence_functional(coarse, bar_a, bar_b)
                 summed = coarse_grained_functional(fam, partitions, bar_a, bar_b)
                 assert abs(direct - summed) < 1e-12
+
+
+class TestPartitionValidation:
+    @pytest.mark.parametrize("partitions", [
+        [[(0, 0)], [(0, 1)]],  # a label repeated within one group, and label 1 missing at time 0
+        [[(0, 1), (1,)], [(0,), (1,)]],  # overlapping groups
+        [[(0,)], [(0,), (1,)]],  # a missing label
+        [[(0,), (1, 2)], [(0,), (1,)]],  # a label out of range
+        [[(0,), (1,)]],  # one time short
+    ])
+    def test_invalid_partitions_refused(self, partitions):
+        fam = pauli_history_family(PLUS, [1, 3], [HADAMARD])
+        with pytest.raises(ValueError):
+            coarse_grained_functional(fam, partitions, (0, 0), (0, 0))
+        with pytest.raises(ValueError):
+            coarse_grained_family(fam, partitions)
+
+    def test_empty_group_is_a_zero_block(self):
+        fam = pauli_history_family(PLUS, [1, 3], [HADAMARD])
+        partitions = [[(0, 1), ()], [(1,), (0,)]]
+        assert coarse_grained_functional(fam, partitions, (1, 0), (0, 1)) == 0
+        coarse = coarse_grained_family(fam, partitions)
+        assert not np.any(coarse.projector_sets[0][1])
+        assert decoherence_functional(coarse, (1, 0), (1, 0)) == 0
+        assert abs(coarse_grained_functional(fam, partitions, (0, 0), (0, 0))
+                   - decoherence_functional(fam, (0, 1), (0, 1))
+                   - decoherence_functional(fam, (1, 1), (1, 1))
+                   - 2 * decoherence_functional(fam, (0, 1), (1, 1)).real) < 1e-12
+
+
+# -- the class-operator route against the entry-by-entry definition -------------
+
+
+def pairwise_is_consistent(f, tol, strong):
+    """Consistency by one decoherence_functional call per off-diagonal pair."""
+    for ha in f.labels():
+        for hb in f.labels():
+            if ha == hb:
+                continue
+            d = decoherence_functional(f, ha, hb)
+            size = abs(d) if strong else abs(d.real)
+            if size > tol:
+                return False
+    return True
+
+
+def signed_diagonal_sum(f):
+    """sum_a sign(a) Re D(a, a), one decoherence_functional call per history."""
+    total = 0.0
+    for labels in f.labels():
+        sign = 1.0
+        for a in labels:
+            sign *= 1.0 if a == 0 else -1.0
+        total += sign * decoherence_functional(f, labels, labels).real
+    return total
+
+
+def fine_double_sum(f, partitions, bar_a, bar_b):
+    groups = [partitions[t][bar_a[t]] for t in range(f.n_times)]
+    groups_prime = [partitions[t][bar_b[t]] for t in range(f.n_times)]
+    return sum(
+        (decoherence_functional(f, fine, fine_prime)
+         for fine in itertools.product(*groups) for fine_prime in itertools.product(*groups_prime)),
+        0.0j,
+    )
+
+
+def rank_split(basis, sizes):
+    """Projectors onto consecutive blocks of basis columns, one per size."""
+    cuts = np.cumsum((0,) + tuple(sizes))
+    return [basis[:, lo:hi] @ basis[:, lo:hi].conj().T for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+@st.composite
+def families(draw, pairs=False):
+    """A family at d in {2, 3} over 1-4 times: rank splits of a Haar basis per time, Haar gaps.
+
+    With ``commuting``, every time shares one basis and every gap is the identity, so that the
+    family is strongly consistent and the consistency oracles see both answers.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    commuting = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def seed():
+        return int(rng.integers(2**31))
+
+    shared = linalg.haar_random_unitary(d, seed())
+    sets = []
+    for _ in range(n):
+        m = 2 if pairs else draw(st.integers(1, min(3, d)))
+        cuts = sorted(rng.choice(np.arange(1, d), size=m - 1, replace=False)) if m > 1 else []
+        sizes = np.diff([0, *cuts, d])
+        basis = shared if commuting else linalg.haar_random_unitary(d, seed())
+        sets.append(rank_split(basis, sizes))
+    gaps = [np.eye(d) if commuting else linalg.haar_random_unitary(d, seed()) for _ in range(n - 1)]
+    return HistoryFamily(linalg.random_density_matrix(d, seed()), sets, gaps)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(f=families())
+def test_matrix_equals_the_functional_on_every_pair(f):
+    dm = decoherence_matrix(f)
+    labels = list(f.labels())
+    assert list(dm) == [(a, b) for a in labels for b in labels]
+    for (a, b), v in dm.items():
+        assert abs(v - decoherence_functional(f, a, b)) <= 1e-12
+    c = class_operators(f)
+    assert c.shape == (len(labels),) + f.initial.shape
+    for op, a in zip(c, labels):
+        chain = np.eye(f.initial.shape[0])
+        for t, label in enumerate(a):
+            chain = f.heisenberg_projector(t, label) @ chain
+        assert np.max(np.abs(op - chain)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(f=families())
+def test_consistency_equals_the_pairwise_loop(f):
+    d = decoherence_array(f)
+    off = [v for (a, b), v in decoherence_matrix(f).items() if a != b]
+    for strong in (False, True):
+        biggest = max((abs(v) if strong else abs(v.real) for v in off), default=0.0)
+        assert abs(max_interference(d, strong) - biggest) <= 1e-12
+        # away from the boundary, where 1e-16 differences cannot flip the answer
+        tols = [1e-10] + ([biggest / 2, 2 * biggest] if biggest > 1e-9 else [])
+        for tol in tols:
+            assert is_consistent(f, tol, strong) == pairwise_is_consistent(f, tol, strong)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(f=families(), data=st.data())
+def test_coarse_functional_equals_the_fine_double_sum(f, data):
+    partitions = []
+    for group in f.projector_sets:
+        k = data.draw(st.integers(1, len(group)))
+        owner = data.draw(st.lists(st.integers(0, k - 1), min_size=len(group), max_size=len(group)))
+        partitions.append([tuple(i for i, o in enumerate(owner) if o == g) for g in range(k)])
+    bar = st.tuples(*(st.integers(0, len(groups) - 1) for groups in partitions))
+    bar_a, bar_b = data.draw(bar), data.draw(bar)
+    value = coarse_grained_functional(f, partitions, bar_a, bar_b)
+    assert abs(value - fine_double_sum(f, partitions, bar_a, bar_b)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(f=families(pairs=True))
+def test_signed_diagonal_equals_the_per_label_sum(f):
+    assert abs(pdm_correlation_from_df(f) - signed_diagonal_sum(f)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    paulis=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_signed_diagonal_equals_the_cascade(paulis, seed):
+    rng = np.random.default_rng(seed)
+    rho = linalg.random_density_matrix(2, int(rng.integers(2**31)))
+    gaps = [linalg.haar_random_unitary(2, int(rng.integers(2**31))) for _ in paulis[1:]]
+    f = pauli_history_family(rho, paulis, gaps)
+    value = pdm_correlation_from_df(f)
+    assert abs(value - signed_diagonal_sum(f)) <= 1e-12
+    assert abs(value - matching_process_correlation(rho, paulis, gaps)) <= 1e-12
 
 
 class TestSignallingGame:
