@@ -52,13 +52,14 @@ class KrausChannel:
         if any(k.shape != (out_dim, in_dim) for k in ops):
             raise ValueError("all Kraus operators must share one shape")
         superop = _sparse_superoperator(ops, out_dim, in_dim)
-        if superop is None:
-            total = sum(dag(k) @ k for k in ops)
-        else:  # Tr E(|i><j|) = (sum_k K^dag K)[j, i]: the weights landing on the diagonal
-            dst, src, left, right = superop
-            on_diagonal = dst % (out_dim + 1) == 0
-            total = _scatter(src[on_diagonal], left[on_diagonal] * right[on_diagonal], in_dim).T
-        if not np.allclose(total, np.eye(in_dim), atol=atol, rtol=0.0):
+        with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN, which within() refuses
+            if superop is None:
+                total = sum(dag(k) @ k for k in ops)
+            else:  # Tr E(|i><j|) = (sum_k K^dag K)[j, i]: the weights landing on the diagonal
+                dst, src, left, right = superop
+                on_diagonal = dst % (out_dim + 1) == 0
+                total = _scatter(src[on_diagonal], left[on_diagonal] * right[on_diagonal], in_dim).T
+        if not linalg.within(total, np.eye(in_dim), atol):
             raise ValueError("Kraus operators do not sum to the identity (not CPTP)")
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "in_dim", in_dim)

@@ -9,10 +9,12 @@ at t1, channel evolution, and a second parity readout at t2.
 Every displaced parity comes from one eigendecomposition per cutoff. With
 R(theta) = e^{i theta n}, D(r e^{i theta}) = R(theta) D(r) R(theta)^dag holds
 exactly on the truncated space, and D(r) = V e^{-i r Lambda} V^dag where
-V Lambda V^dag = i(a^dag - a). So U is exactly Hermitian and unitary, its
-parity projectors are (1 -/+ U)/2 (odd, even), and the signed
-post-measurement state Pi_even rho Pi_even - Pi_odd rho Pi_odd is
-(U rho + rho U)/2.
+V Lambda V^dag = G = i(a^dag - a). G couples n only to n +/- 1, so
+Pi G Pi = -G with Pi = (-1)^n, and D(alpha)^dag = D(-alpha) holds exactly
+as well; hence D(alpha) Pi D(alpha)^dag = D(alpha) D(alpha) Pi = D(2 alpha) Pi,
+one matrix product. So U is exactly Hermitian and unitary, its parity
+projectors are (1 -/+ U)/2 (odd, even), and the signed post-measurement
+state Pi_even rho Pi_even - Pi_odd rho Pi_odd is (U rho + rho U)/2.
 
 Truncation notes: the displacement is the exponential of the truncated
 generator, accurate for |alpha|^2 well below n_max. The trace of the
@@ -30,7 +32,7 @@ import numpy as np
 from spacetimeq import linalg
 from spacetimeq.channels import KrausChannel, apply
 
-#: Matrix entries per block of radii in the grid sum of ``wigner_normalization_check``
+#: Entries per block of radii times Fock levels in the grid sum of ``wigner_normalization_check``
 #: (64 KiB per complex block array), so that its memory does not grow with the grid
 GRID_BLOCK_ENTRIES = 1 << 12
 
@@ -44,43 +46,40 @@ def annihilation(n_max: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _generator_spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda, V, Q): V diag(lambda) V^dag = i(a^dag - a) and Q = V^dag (-1)^n V, read-only."""
+def _generator_spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, V) with V diag(lambda) V^dag = i(a^dag - a), read-only."""
     a = annihilation(n_max)
     lam, v = np.linalg.eigh(1j * (linalg.dag(a) - a))
-    q = linalg.dag(v) @ parity(n_max) @ v
-    for array in (lam, v, q):
+    for array in (lam, v):
         array.flags.writeable = False
-    return lam, v, q
+    return lam, v
 
 
-def _displaced_frame(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, B, Q) with B = R(theta) V and W = B e^{-i r Lambda}, alpha = r e^{i theta}.
-
-    Then D(alpha) = W B^dag and U(alpha) = W Q W^dag.
-    """
-    lam, v, q = _generator_spectrum(n_max)
-    b = np.exp(1j * np.angle(alpha) * np.arange(n_max))[:, None] * v
-    return b * np.exp(-1j * abs(alpha) * lam), b, q
+def _parity_signs(n_max: int) -> np.ndarray:
+    """The diagonal (-1)^n of the parity."""
+    return (-1.0) ** np.arange(n_max)
 
 
 def _parity_unitary(alpha: complex, n_max: int) -> np.ndarray:
-    """U(alpha) = D(alpha) (-1)^n D(alpha)^dag, Hermitian and unitary."""
+    """U(alpha) = D(alpha) (-1)^n D(alpha)^dag = D(2 alpha) (-1)^n, Hermitian and unitary."""
     if n_max < 2:
         raise ValueError("need at least two Fock levels")
-    w, _, q = _displaced_frame(alpha, n_max)
-    return w @ q @ linalg.dag(w)
+    return displacement(2 * alpha, n_max) * _parity_signs(n_max)
 
 
 def displacement(alpha: complex, n_max: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
-    w, b, _ = _displaced_frame(alpha, n_max)
-    return w @ linalg.dag(b)
+    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space.
+
+    With alpha = r e^{i theta} and B = R(theta) V, D(alpha) = (B e^{-i r Lambda}) B^dag.
+    """
+    lam, v = _generator_spectrum(n_max)
+    b = np.exp(1j * np.angle(alpha) * np.arange(n_max))[:, None] * v
+    return (b * np.exp(-1j * abs(alpha) * lam)) @ linalg.dag(b)
 
 
 def parity(n_max: int) -> np.ndarray:
     """(-1)^{a^dag a}."""
-    return np.diag((-1.0) ** np.arange(n_max)).astype(complex)
+    return np.diag(_parity_signs(n_max)).astype(complex)
 
 
 def displaced_parity(alpha: complex, n_max: int) -> np.ndarray:
@@ -94,13 +93,18 @@ def parity_projectors(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarra
     return (one - u) / 2.0, (one + u) / 2.0
 
 
+def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """Tr[A B] as an elementwise sum, without forming the product."""
+    return np.sum(a * b.T)
+
+
 def _spacetime_wigner_complex(rho, ch: KrausChannel, alpha, beta, n_max: int) -> complex:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n_max, n_max):
         raise ValueError("state dimension does not match n_max")
     u_alpha = _parity_unitary(alpha, n_max)
     signed = apply(ch, (u_alpha @ rho + rho @ u_alpha) / 2.0)
-    return 4.0 * np.trace(_parity_unitary(beta, n_max) @ signed)
+    return 4.0 * _trace_product(_parity_unitary(beta, n_max), signed)
 
 
 def spacetime_wigner_point(rho, ch: KrausChannel, alpha, beta, n_max: int) -> float:
@@ -132,10 +136,18 @@ def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:
 
     Cell centres sit at odd (even points) or even (odd points) multiples k of half a cell
     h/2, so cells share a radius exactly when they share kx^2 + ky^2, and the disc is
-    kx^2 + ky^2 <= points^2 (never an equality). Within a radius, U differs only by
-    R(theta), which multiplies entry (m, n) by e^{i theta (m - n)}; so each radius costs
-    two matrix products, and its angles one phase sum per offset |m - n|, real because
-    the grid is symmetric under theta -> -theta.
+    kx^2 + ky^2 <= points^2 (never an equality). Within a radius r, U differs only by
+    R(theta), which multiplies entry (m, n) of D(2 alpha) by e^{i theta (m - n)}; the
+    angles of a radius sum to one phase c_r(d) per offset d = |m - n|, real because the
+    grid is symmetric under theta -> -theta. The grid is also invariant under quarter
+    turns, which multiply the phase by i^d, so c_r(d) = 0 unless 4 divides d (the centre
+    cell of an odd grid has no angle, but D(0) = 1 has no off-diagonal entries) and S
+    splits into the blocks m = n (mod 4). With D(2r) = V e^{-2i r Lambda} V^dag,
+
+        S_mn = sum_j V_mj V*_nj F(|m - n|, j),   F(d, j) = sum_r c_r(d) e^{-2i r lambda_j},
+
+    so the radii meet in one product C^T E for the whole grid, and the parity's column
+    signs are applied once to the sum.
     """
     if not radius >= 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
@@ -148,19 +160,22 @@ def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:
     h = 2.0 * radius / points
     radii = 0.5 * h * np.sqrt(keys)
 
-    lam, v, q = _generator_spectrum(n_max)
-    offsets = np.arange(n_max)
-    distance = np.abs(offsets[:, None] - offsets[None, :])
+    lam, v = _generator_spectrum(n_max)
+    offsets = np.arange(0, n_max, 4)
     bounds = np.append(starts, len(order))
-    total = np.zeros((n_max, n_max), dtype=complex)
-    block = max(1, GRID_BLOCK_ENTRIES // (n_max * n_max))
+    f = np.zeros((len(offsets), n_max), dtype=complex)
+    block = max(1, GRID_BLOCK_ENTRIES // n_max)
     for lo in range(0, len(keys), block):
         hi = min(lo + block, len(keys))
         cosines = np.cos(np.outer(theta[bounds[lo]:bounds[hi]], offsets))
-        phases = np.add.reduceat(cosines, starts[lo:hi] - starts[lo], axis=0)[:, distance]
-        w = v * np.exp(-1j * np.outer(radii[lo:hi], lam))[:, None, :]
-        total += np.sum(w @ q @ np.conj(w.transpose(0, 2, 1)) * phases, axis=0)
-    return total * (h * h / np.pi)
+        phases = np.add.reduceat(cosines, starts[lo:hi] - starts[lo], axis=0)
+        f += phases.T @ np.exp(-2j * np.outer(radii[lo:hi], lam))
+    total = np.zeros((n_max, n_max), dtype=complex)
+    for first in range(min(4, n_max)):
+        idx = np.arange(first, n_max, 4)
+        distance = np.abs(idx[:, None] - idx[None, :]) // 4
+        total[np.ix_(idx, idx)] = np.einsum("aj,abj,bj->ab", v[idx], f[distance], v[idx].conj())
+    return total * (_parity_signs(n_max) * (h * h / np.pi))
 
 
 def wigner_normalization_check(
@@ -183,7 +198,7 @@ def wigner_normalization_check(
     """
     rho = np.asarray(rho, dtype=complex)
     s = _grid_parity_sum(radius, points, n_max)
-    value = 4.0 * np.trace(s @ apply(ch, (s @ rho + rho @ s) / 2.0))
+    value = 4.0 * _trace_product(s, apply(ch, (s @ rho + rho @ s) / 2.0))
     return float(np.real(value))
 
 

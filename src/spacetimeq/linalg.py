@@ -111,8 +111,17 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
     return t.reshape(d, d)
 
 
+def within(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """max |a - b| <= atol: np.allclose(a, b, atol=atol, rtol=0) in one reduction.
+
+    A NaN entry fails the comparison, and so does an infinite one (inf - inf is a NaN).
+    """
+    with np.errstate(invalid="ignore"):
+        return bool(np.abs(a - b).max() <= atol)
+
+
 def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
-    return bool(np.allclose(m, dag(m), atol=atol, rtol=0.0))
+    return within(m, dag(m), atol)
 
 
 def hermitian_eigenvalues(m: np.ndarray, atol: float = ATOL) -> np.ndarray:
@@ -181,7 +190,9 @@ def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
 def dichotomic_projectors(obs: np.ndarray, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
     """Projectors (P+, P-) = (1 +/- O)/2 for an observable with O^2 = 1."""
     d = obs.shape[0]
-    if not np.allclose(obs @ obs, np.eye(d), atol=max(atol, 1e-8), rtol=0.0):
+    with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN, which within() refuses
+        square = obs @ obs
+    if not within(square, np.eye(d), max(atol, 1e-8)):
         raise ValueError("observable does not square to the identity")
     eye = np.eye(d, dtype=complex)
     return (eye + obs) / 2.0, (eye - obs) / 2.0

@@ -103,23 +103,16 @@ def event_correlation(proc: TemporalProcess, paulis) -> float:
     d0 = proc.initial.shape[0]
     mats = [_event_observable(o, d0) for o in obs]
 
-    # branches: list of (sign-product, unnormalized conditional state)
-    branches = [(1.0, proc.initial)]
+    # one signed state: the sum over outcome branches of sign-product times conditional state
+    signed = proc.initial
     for t, m in enumerate(mats):
-        if m.shape[0] != branches[0][1].shape[0]:
+        if m.shape[0] != signed.shape[0]:
             raise ValueError("observable dimension does not match the state")
         plus, minus = linalg.dichotomic_projectors(m)
-        new = []
-        for sign, state in branches:
-            for outcome, proj in ((1.0, plus), (-1.0, minus)):
-                cond = proj @ state @ proj
-                if np.trace(cond).real > 1e-300:
-                    new.append((sign * outcome, cond))
+        signed = plus @ signed @ plus - minus @ signed @ minus
         if t < len(proc.steps):
-            new = [(s, apply(proc.steps[t], c)) for s, c in new]
-        branches = new
-    terms = np.array([sign * np.trace(state).real for sign, state in branches])
-    return float(np.sum(terms))
+            signed = apply(proc.steps[t], signed)
+    return float(np.trace(signed).real)
 
 
 def build_pdm(proc: TemporalProcess) -> PDM:

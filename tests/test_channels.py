@@ -55,6 +55,20 @@ class TestApply:
             assert linalg.is_hermitian(out, atol=1e-10)
 
 
+class TestNonFiniteRefused:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ops", [
+        [I2],  # column-sparse: the scatter route
+        [linalg.haar_random_unitary(2, 3)],  # dense: the Kraus sum
+    ])
+    def test_kraus_channel(self, bad, ops):
+        for entry in ((0, 0), (1, 0)):
+            k = ops[0].copy()
+            k[entry] = bad
+            with pytest.raises(ValueError):
+                KrausChannel([k])
+
+
 class TestConstructors:
     def test_depolarizing_matches_affine_form(self):
         ch = depolarizing(0.42)

@@ -197,6 +197,12 @@ class TestAgainstPerCellRoute:
         monkeypatch.setattr(cv_wigner, "GRID_BLOCK_ENTRIES", entries)
         assert abs(cv_wigner.wigner_normalization_check(rho, ch, 2.5, 16, 12) - whole) < 1e-12
 
+    def test_non_hermitian_state_raises(self):
+        # the signed state stays (U rho + rho U)/2, so an anti-Hermitian part shows as an imaginary value
+        rho = linalg.random_density_matrix(6, 2) + 0.3j * np.eye(6)
+        with pytest.raises(ValueError, match="complex"):
+            cv_wigner.spacetime_wigner_point(rho, channels.identity_channel(6), 0.3, 0.5 - 0.2j, 6)
+
     def test_empty_and_invalid_discs(self):
         rho, ch = linalg.random_density_matrix(6, 1), channels.identity_channel(6)
         assert cv_wigner.wigner_normalization_check(rho, ch, 0.0, 5, 6) == 0.0

@@ -117,6 +117,26 @@ class TestEigenvalues:
         assert abs(eigs.sum() - np.trace(rho).real) < 1e-10
 
 
+class TestNonFiniteRefused:
+    """The max-abs tolerance checks refuse NaN and infinite entries, on and off the diagonal."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_is_hermitian(self, bad, entry):
+        m = linalg.random_density_matrix(3, 2)
+        m[entry] = bad
+        assert not linalg.is_hermitian(m)
+        assert not linalg.is_hermitian(m, atol=1e300)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_dichotomic_projectors(self, bad, entry):
+        obs = X.copy()
+        obs[entry] = bad
+        with pytest.raises(ValueError):
+            linalg.dichotomic_projectors(obs)
+
+
 class TestHaar:
     def test_scalar_case(self):
         u = linalg.haar_random_unitary(1, 0)

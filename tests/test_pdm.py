@@ -88,6 +88,47 @@ class TestEventCorrelation:
             event_correlation(zero_process(), (3, 3, 3))
 
 
+def branch_event_correlation(proc, observables):
+    """The cascade one outcome branch at a time: sum over branches of sign-product times weight."""
+    branches = [(1.0, proc.initial)]
+    for t, m in enumerate(observables):
+        plus, minus = linalg.dichotomic_projectors(m)
+        new = []
+        for sign, state in branches:
+            for outcome, proj in ((1.0, plus), (-1.0, minus)):
+                cond = proj @ state @ proj
+                if np.trace(cond).real > 1e-300:
+                    new.append((sign * outcome, cond))
+        if t < len(proc.steps):
+            new = [(s, channels.apply(proc.steps[t], c)) for s, c in new]
+        branches = new
+    return float(sum(sign * np.trace(state).real for sign, state in branches))
+
+
+@st.composite
+def dichotomic_chains(draw):
+    """A process on d = 2..4 with 1..4 events, each observable V diag(+/-1) V^dag for a Haar V."""
+    d = draw(st.integers(2, 4))
+    n_events = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10**6))
+    proc = TemporalProcess(linalg.random_density_matrix(d, seed),
+                           [random_channel(d, draw(st.integers(1, 3)), seed + 1 + k) for k in range(n_events - 1)])
+    observables = []
+    for k in range(n_events):
+        v = linalg.haar_random_unitary(d, seed + 100 + k)
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d))
+        observables.append(v @ np.diag(signs) @ dag(v))
+    return proc, observables
+
+
+class TestSignedStateAgainstBranches:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=dichotomic_chains())
+    def test_matches_branch_enumeration(self, case):
+        proc, observables = case
+        assert abs(event_correlation(proc, observables) - branch_event_correlation(proc, observables)) <= 1e-12
+
+
 class TestBuildPdm:
     def test_zero_state_matrix(self):
         r = build_pdm(zero_process())
