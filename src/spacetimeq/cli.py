@@ -31,8 +31,11 @@ EXIT_OK, EXIT_VALIDATION, EXIT_INVARIANT, EXIT_IO = 0, 2, 3, 4
 #: each), and the largest log2 of the closed-form count it computes (about 1200 digits)
 MAX_ENUMERATED_VERTICES, MAX_COUNT_BITS = 100_000, 4096
 #: Bounds of ``cv-wigner``: the most Fock levels (the phase-damping channel holds nmax^3 complex
-#: entries, 32 MiB at 128), and the most points^2 * nmax^3 of a normcheck (16 times its default)
-MAX_FOCK_LEVELS, MAX_NORMCHECK_WORK = 128, 2**32
+#: entries, 32 MiB at 128), and the most points^2 * (nmax + 16) / 4 + nmax^3 / 16 of a normcheck,
+#: the cost of its grid parity sum in units of about 35 ns (a fixed part per cell, one per four
+#: levels and cell, and the spectrum): at the bound, 679 points at 128 levels take 0.51 s in the
+#: grid sum and 0.64 s per call, and 1930 points at 2 levels peak at 240 MB
+MAX_FOCK_LEVELS, MAX_NORMCHECK_WORK = 128, 2**24
 #: The most events of a ``pdm`` process (its matrix is 2^n x 2^n; at 10 events it builds in about
 #: 0.4 s and diagonalizes in 0.5 s)
 MAX_PDM_EVENTS = 10
@@ -44,10 +47,6 @@ MAX_HISTORY_TIMES = {"df": 6, "consistent": 10, "corr": 12}
 #: state holds n^3 complex entries, 32 MiB at 128) and the longest ``tc`` series (``--n``, and
 #: ``--periods`` + 1 entries of a Floquet series)
 MAX_OTOC_DIM, MAX_FINAL_STATE_DIM, MAX_SERIES_LENGTH = 512, 128, 10_000
-#: The most (periods + 1) * 8^length of ``tc floquet|spectrum``: each period, and the set-up, costs
-#: dense products of 2^length x 2^length matrices (the largest allowed call, 3 periods at 10 sites,
-#: takes about 3 s; 11 sites are refused at any period count)
-MAX_FLOQUET_WORK = 2**32
 
 OBS_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
 
@@ -149,7 +148,10 @@ NMAX = Param("--nmax", int, 40, lo=2, hi=MAX_FOCK_LEVELS)
 HISTORY_PARAMS = (STATE, Param("--paulis", default="Z,Z"),
                   Param("--unitary", default="identity", choices=("identity", "hadamard", "haar")),
                   SEED, TOL)
-FLOQUET_PARAMS = (Param("--length", int, 8), Param("--epsilon", float, 0.05), Param("--site", int, 3),
+# a Floquet series costs O(length 2^length) per period (the largest call, 9999 periods at 12 sites,
+# takes about 4 s)
+FLOQUET_PARAMS = (Param("--length", int, 8, lo=2, hi=timecrystal.MAX_CHAIN_LENGTH),
+                  Param("--epsilon", float, 0.05), Param("--site", int, 3),
                   Param("--periods", int, 64, lo=0, hi=MAX_SERIES_LENGTH - 1),
                   Param("--no-interactions", bool, True, dest="interactions"), SEED)
 # the global flags, accepted after the command too; unset ones keep the global values
@@ -311,9 +313,9 @@ def _cv_point(p):
 @experiment("cv-wigner.normcheck", CV_CHANNEL, Param("--radius", float, 4.0, lo=0.0),
             Param("--points", int, 64, lo=1), NMAX, Param("--tol", float, 0.02))
 def _cv_normcheck(p):
-    if p.points ** 2 * p.nmax ** 3 > MAX_NORMCHECK_WORK:
+    if 4 * p.points ** 2 * (p.nmax + 16) + p.nmax ** 3 > 16 * MAX_NORMCHECK_WORK:
         raise ValueError(f"--points {p.points} with --nmax {p.nmax} exceeds the budget "
-                         f"points^2 * nmax^3 <= {MAX_NORMCHECK_WORK}")
+                         f"points^2 * (nmax + 16) / 4 + nmax^3 / 16 <= {MAX_NORMCHECK_WORK}")
     val = cv_wigner.wigner_normalization_check(*_vacuum_and_channel(p), p.radius, p.points, p.nmax)
     return _require(abs(val - 1.0) <= p.tol, f"normalization {val} deviates beyond {p.tol}",
                     {"normalization": val, "within_tolerance": bool(abs(val - 1.0) <= p.tol)})
@@ -453,9 +455,6 @@ def _floquet_series(p, min_length: int = 1) -> timecrystal.CorrelationSeries:
     """The ``--periods`` + 1 entries of the series, refused before any work when fewer than ``min_length``."""
     if p.seed is None:
         raise ValueError("--seed is required (disorder realization)")
-    if 3 * p.length + np.log2(p.periods + 1) > np.log2(MAX_FLOQUET_WORK):
-        raise ValueError(f"--length {p.length} with --periods {p.periods} exceeds the budget "
-                         f"(periods + 1) * 8^length <= {MAX_FLOQUET_WORK}")
     if p.periods + 1 < min_length:
         raise ValueError(f"--periods must be >= {min_length - 1} ({min_length} samples), got {p.periods}")
     spec = timecrystal.FloquetChainSpec(length=p.length, epsilon=p.epsilon,

@@ -279,6 +279,7 @@ class TestContract:
         ("otoc", "harmonic", "--tau", "1e-200"),
         ("gaussian", "temporal", "--step", "squeeze:1e6"),
         ("tc", "floquet", "--length", "4", "--site", "-1", "--periods", "2", "--seed", "1"),
+        ("tc", "floquet", "--length", "1", "--seed", "1"),
     ])
     def test_out_of_domain_is_validation_error(self, argv):
         code, err = exit_code(*argv)
@@ -373,7 +374,7 @@ class TestVertexBound:
 class TestWignerBound:
     @pytest.mark.parametrize("argv", [
         ("cv-wigner", "normcheck", "--points", "100000"),
-        ("cv-wigner", "normcheck", "--points", "65", "--nmax", "128", "--channel", "phase-damping"),
+        ("cv-wigner", "normcheck", "--points", "680", "--nmax", "128", "--channel", "phase-damping"),
         ("cv-wigner", "normcheck", "--points", "1", "--nmax", "129"),
         ("cv-wigner", "point", "--nmax", "100000", "--channel", "phase-damping"),
     ])
@@ -388,6 +389,12 @@ class TestWignerBound:
         code, err = exit_code(*argv)
         assert code == 2
         assert "exceeds" in err
+
+    def test_largest_cutoff_normcheck_runs(self, capsys):
+        code, out, _ = run(capsys, "cv-wigner", "normcheck", "--points", "64",
+                           "--nmax", str(cli.MAX_FOCK_LEVELS), "--channel", "phase-damping")
+        assert code == 0
+        assert json.loads(out)["within_tolerance"]
 
     def test_largest_cutoff_runs(self, capsys):
         code, out, _ = run(capsys, "cv-wigner", "point", "--nmax", str(cli.MAX_FOCK_LEVELS),
@@ -467,8 +474,7 @@ class TestWorkBounds:
 
 class TestFloquetBound:
     @pytest.mark.parametrize("argv", [
-        ("--length", "8", "--periods", "256"),  # (periods + 1) * 8^length one period above the bound
-        ("--length", "11", "--periods", "0"),
+        ("--length", str(cli.timecrystal.MAX_CHAIN_LENGTH + 1), "--periods", "0"),
         ("--length", "1000000000", "--periods", "0"),
         ("--length", "2", "--periods", str(cli.MAX_SERIES_LENGTH)),
     ])
@@ -495,11 +501,12 @@ class TestFloquetBound:
         assert json.loads(out)["params"]["periods"] == 15
 
     def test_bound_is_inclusive(self, capsys):
-        assert (255 + 1) * 8**8 == cli.MAX_FLOQUET_WORK
-        code, out, _ = run(capsys, "tc", "floquet", "--length", "8", "--periods", "255", "--seed", "1")
-        assert code == 0
-        series = json.loads(out)["series"]
-        assert len(series) == 256 and series[0] == 1.0
+        for length, periods in ((8, 256), (11, 0), (cli.timecrystal.MAX_CHAIN_LENGTH, 2)):
+            code, out, _ = run(capsys, "tc", "floquet", "--length", str(length), "--periods", str(periods),
+                               "--seed", "1")
+            assert code == 0
+            series = json.loads(out)["series"]
+            assert len(series) == periods + 1 and series[0] == 1.0
 
 
 def test_cli_process_loads_no_scipy():

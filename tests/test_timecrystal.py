@@ -252,3 +252,7 @@ class TestKrausFlipPredicate:
 
     def test_identity_does_not_flip(self):
         assert not flips_basis_state(identity_channel(4), [1, 1], 2)
+
+    def test_non_finite_output_refused(self, monkeypatch):
+        monkeypatch.setattr(tc, "apply", lambda ch, rho: np.full_like(rho, np.nan))
+        assert not flips_basis_state(identity_channel(4), [1, -1], 2, atol=1e300)

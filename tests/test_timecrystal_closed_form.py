@@ -1,7 +1,9 @@
-"""The closed-form Floquet unitary and the diagonal-reading series against the routes they replaced.
+"""The closed-form Floquet unitary and the two state-vector routes against the routes they replaced.
 
 The oracle unitary sums the dense H_2 from embedded Pauli operators and exponentiates it and the
-single-site kick with ``expm``; the oracle series takes Tr[sigma C] from the full product.
+single-site kick with ``expm``; the oracle series conjugates the density matrix with U_f each period
+and takes Tr[sigma C] from the full product; the oracle of ``floquet_correlation_at`` is the generic
+event cascade on U_f^n.
 """
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from spacetimeq import channels, linalg, timecrystal as tc
+from spacetimeq.channels import KrausChannel
 from spacetimeq.linalg import X, Z, dag
+from spacetimeq.pdm import TemporalProcess, event_correlation
 
 
 def expm_floquet_unitary(spec):
@@ -36,6 +40,14 @@ def trace_loop_series(spec, site, n_periods, signs):
         vals.append(float(np.real(np.trace(sigma @ current))))
         current = uf @ current @ dag(uf)
     return vals
+
+
+def cascade_correlation_at(spec, site, n_periods, signs):
+    rho = tc.basis_product_state(signs, spec.length)
+    u_total = np.linalg.matrix_power(tc.floquet_unitary(spec), n_periods)
+    proc = TemporalProcess(rho, [KrausChannel([u_total])])
+    sigma = linalg.site_operator(Z, site, spec.length)
+    return event_correlation(proc, (sigma, sigma))
 
 
 @st.composite
@@ -67,10 +79,35 @@ def test_series_matches_the_trace_loop(spec, data):
     assert np.max(np.abs(np.array(got) - trace_loop_series(spec, site, n_periods, signs))) <= 1e-12
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=chain_specs(), data=st.data())
+def test_correlation_at_matches_the_cascade(spec, data):
+    site = data.draw(st.integers(0, spec.length - 1))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=spec.length, max_size=spec.length))
+    k = data.draw(st.integers(1, 40))
+    got = tc.floquet_correlation_at(spec, site, k, signs)
+    assert abs(got - cascade_correlation_at(spec, site, k, signs)) <= 1e-12
+
+
+def test_ten_site_series_matches_correlation_at():
+    spec = tc.FloquetChainSpec(length=10, epsilon=0.07, disorder_seed=11)
+    signs = [1, -1, -1, 1, 1, 1, -1, 1, -1, 1]
+    series = tc.floquet_correlation_series(spec, 4, 24, signs)
+    for k in (1, 13, 24):
+        assert abs(series[k] - tc.floquet_correlation_at(spec, 4, k, signs)) <= 1e-12
+
+
+def test_correlation_at_zero_periods_and_negative_counts():
+    spec = tc.FloquetChainSpec(length=3, epsilon=0.2, hx=0.3)
+    assert tc.floquet_correlation_at(spec, 1, 0, [1, -1, 1]) == 1.0
+    with pytest.raises(ValueError):
+        tc.floquet_correlation_at(spec, 1, -1)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 9])
 def test_series_evolve_only_between_reads(monkeypatch, n):
     """A series of k values takes k - 1 evolutions: none after its last read."""
-    counts = {"apply": 0, "dag": 0}
+    counts = {"apply": 0, "_floquet_step": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -80,9 +117,9 @@ def test_series_evolve_only_between_reads(monkeypatch, n):
         return wrapped
 
     monkeypatch.setattr(tc, "apply", counting("apply", tc.apply))
-    monkeypatch.setattr(tc, "dag", counting("dag", tc.dag))
+    monkeypatch.setattr(tc, "_floquet_step", counting("_floquet_step", tc._floquet_step))
     rho = linalg.random_density_matrix(2, n)
     assert len(tc.channel_decay_series(rho, channels.dephasing(0.4), 1, n)) == n
     assert counts["apply"] == max(n - 1, 0)
     assert len(tc.floquet_correlation_series(tc.FloquetChainSpec(length=3), 1, n)) == n + 1
-    assert counts["dag"] == n
+    assert counts["_floquet_step"] == n
