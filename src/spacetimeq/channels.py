@@ -51,6 +51,8 @@ class KrausChannel:
         out_dim, in_dim = ops[0].shape
         if any(k.shape != (out_dim, in_dim) for k in ops):
             raise ValueError("all Kraus operators must share one shape")
+        if out_dim == 0 or in_dim == 0:
+            raise ValueError("Kraus operators must have nonzero dimensions")
         superop = _sparse_superoperator(ops, out_dim, in_dim)
         with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN, which within() refuses
             if superop is None:
@@ -128,7 +130,7 @@ def identity_channel(d: int = 2) -> KrausChannel:
 
 def unitary_channel(u: np.ndarray, atol: float = ATOL) -> KrausChannel:
     u = np.asarray(u, dtype=complex)
-    if not np.allclose(dag(u) @ u, np.eye(u.shape[0]), atol=max(atol, 1e-8), rtol=0.0):
+    if not linalg.is_unitary(u, max(atol, 1e-8)):
         raise ValueError("matrix is not unitary")
     return KrausChannel([u])
 
@@ -245,7 +247,7 @@ def check_choi(c: ChoiOperator, atol: float = 1e-8) -> ChoiFlags:
     d1, d0 = c.dims
     m = np.asarray(c.matrix, dtype=complex)
     marg = linalg.partial_trace(m, (d1, d0), keep=1)
-    tp = bool(np.allclose(marg, np.eye(d0), atol=atol, rtol=0.0))
+    tp = linalg.within(marg, np.eye(d0), atol)
     hp = linalg.is_hermitian(m, atol=atol)
     if hp:
         cp = bool(np.linalg.eigvalsh(m).min() >= -atol)

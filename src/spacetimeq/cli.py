@@ -293,7 +293,7 @@ def _gaussian_pt(p):
     omts = gaussian.temporal_gaussian(gaussian.thermal(np.sinh(p.r) ** 2), np.eye(2))
     pt = gaussian.partial_transpose_gaussian(omts.cov, 0)
     # the cross entries differ by cosh(2r) - sinh(2r) = e^{-2r} exactly; checked is the distance from that
-    gap, exact, scale = np.max(np.abs(pt - tmss.cov)), np.exp(-2 * p.r), np.cosh(2 * p.r)
+    gap, exact, scale = linalg.margin(pt, tmss.cov), np.exp(-2 * p.r), np.cosh(2 * p.r)
     rel, residual = float(gap / scale), float(abs(gap - exact) / scale)
     return _require(residual <= p.tol, f"partial transpose gap off e^-2r by {residual}, above tol {p.tol}",
                     {"max_relative_entry_error": rel, "pt_matches_tmss": bool(rel <= p.tol),
@@ -488,7 +488,7 @@ def _cj_check(p):
 def _cj_roundtrip(p):
     ch = _make_channel(p.channel, p.p, p.lam, p.seed)
     action = channels.channel_of_choi(channels.choi_of_channel(ch))
-    worst = max(float(np.max(np.abs(action(b) - channels.apply(ch, b)))) for b in linalg.PAULIS)
+    worst = max(linalg.margin(action(b), channels.apply(ch, b)) for b in linalg.PAULIS)
     return _require(worst <= p.tol, f"roundtrip deviation {worst} above tol {p.tol}",
                     {"max_deviation": worst})
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spacetimeq import linalg
+
 QUADS = ("q", "p")
 #: The largest finite float, which bounds the covariance entries of thermal and squeezed states
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -37,6 +39,7 @@ class GaussianState:
             raise ValueError("mean must be a vector of even length")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean vector")
+        # not linalg.within: an overflowing covariance, symmetric with equal infinities, must reach the CLI's payload guard
         if not np.allclose(cov, cov.T, atol=1e-10, rtol=0.0):
             raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
@@ -102,7 +105,7 @@ def is_symplectic(s: np.ndarray, atol: float = 1e-9) -> bool:
     s = np.asarray(s, dtype=float)
     n = s.shape[0] // 2
     omega = symplectic_form(n)
-    return bool(np.allclose(s @ omega @ s.T, omega, atol=atol, rtol=0.0))
+    return linalg.within(s @ omega @ s.T, omega, atol)
 
 
 def rotation_symplectic(theta: float) -> np.ndarray:

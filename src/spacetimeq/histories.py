@@ -47,15 +47,15 @@ class HistoryFamily:
         d = rho.shape[0]
         for t, group in enumerate(sets):
             total = sum(group)
-            if not np.allclose(total, np.eye(d), atol=atol, rtol=0.0):
+            if not linalg.within(total, np.eye(d), atol):
                 raise ValueError(f"projectors at time {t} are not exhaustive")
             for i, p in enumerate(group):
                 for j, q in enumerate(group):
                     expected = p if i == j else np.zeros_like(p)
-                    if not np.allclose(p @ q, expected, atol=max(atol, 1e-9), rtol=0.0):
+                    if not linalg.within(p @ q, expected, max(atol, 1e-9)):
                         raise ValueError(f"projectors at time {t} are not exclusive")
         for u in us:
-            if not np.allclose(dag(u) @ u, np.eye(d), atol=1e-8, rtol=0.0):
+            if u.shape != (d, d) or not linalg.is_unitary(u):
                 raise ValueError("gap evolutions must be unitary")
         object.__setattr__(self, "initial", rho)
         object.__setattr__(self, "projector_sets", sets)
@@ -223,7 +223,7 @@ def signalling_game_probability(tau_x, phi, memory: KrausChannel, psi) -> dict:
     completeness = sum(
         dag(k) @ k for ops in phi.values() for k in map(np.asarray, ops)
     )
-    if not np.allclose(completeness, np.eye(d), atol=1e-8, rtol=0.0):
+    if not linalg.within(completeness, np.eye(d), 1e-8):
         raise ValueError("first-round instrument is not trace preserving overall")
     table = {}
     for a, ops in phi.items():
@@ -234,7 +234,7 @@ def signalling_game_probability(tau_x, phi, memory: KrausChannel, psi) -> dict:
         evolved = apply(memory, branch)
         povm = psi[a]
         total_povm = sum(np.asarray(e, dtype=complex) for e in povm.values())
-        if not np.allclose(total_povm, np.eye(evolved.shape[0]), atol=1e-8, rtol=0.0):
+        if not linalg.within(total_povm, np.eye(evolved.shape[0]), 1e-8):
             raise ValueError(f"second-round POVM for outcome {a} is incomplete")
         for b, effect in povm.items():
             table[(a, b)] = float(np.real(np.trace(np.asarray(effect, dtype=complex) @ evolved)))

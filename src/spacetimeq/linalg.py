@@ -4,7 +4,9 @@ Conventions used across the package:
 
 * operators are complex numpy arrays in row-major order;
 * subsystem index 0 is the leftmost tensor factor;
-* tolerances default to 1e-10 and are keyword-configurable.
+* tolerances default to 1e-10 and are keyword-configurable;
+* ``margin``, ``within`` and ``is_unitary`` are the one closeness rule: a
+  tolerance check is max |a - b| <= atol, and a NaN or infinite entry fails it.
 
 All functions are pure and never mutate their arguments.
 """
@@ -111,13 +113,28 @@ def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
     return t.reshape(d, d)
 
 
-def within(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
-    """max |a - b| <= atol: np.allclose(a, b, atol=atol, rtol=0) in one reduction.
+def margin(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, the distance every tolerance check compares with its atol.
 
-    A NaN entry fails the comparison, and so does an infinite one (inf - inf is a NaN).
+    NaN when an entry is NaN or infinite on both sides (inf - inf is a NaN); 0 for empty arrays.
     """
-    with np.errstate(invalid="ignore"):
-        return bool(np.abs(a - b).max() <= atol)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.abs(np.subtract(a, b)).max(initial=0.0))
+
+
+def within(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """margin(a, b) <= atol: np.allclose(a, b, atol=atol, rtol=0), except that a NaN or inf fails."""
+    return bool(margin(a, b) <= atol)
+
+
+def is_unitary(u: np.ndarray, atol: float = 1e-8) -> bool:
+    """U^dag U = 1 within ``atol``; False for a non-square matrix or a NaN or infinite entry."""
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 makes a NaN, which within() refuses
+        gram = dag(u) @ u
+    return within(gram, np.eye(u.shape[0]), atol)
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:

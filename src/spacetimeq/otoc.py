@@ -27,7 +27,7 @@ class OtocSpec:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex)
-        if not np.allclose(dag(u) @ u, np.eye(u.shape[0]), atol=1e-8, rtol=0.0):
+        if not linalg.is_unitary(u):
             raise ValueError("u must be unitary")
         rho = np.asarray(self.rho, dtype=complex)
         if abs(np.trace(rho) - 1.0) > 1e-8:
@@ -56,9 +56,9 @@ def otoc_via_pdm(a: np.ndarray, b: np.ndarray, u: np.ndarray, rho: np.ndarray) -
     b = np.asarray(b, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     d = a.shape[0]
-    if not np.allclose(a @ dag(a), a, atol=1e-10, rtol=0.0):
+    if not linalg.within(a @ dag(a), a, 1e-10):
         raise ValueError("A must satisfy A A^dag = A (projector)")
-    if not np.allclose(rho, np.eye(d) / d, atol=1e-10, rtol=0.0):
+    if not linalg.within(rho, np.eye(d) / d, 1e-10):
         raise ValueError("the reduction to the OTOC needs the maximally mixed state")
     bt = dag(u) @ b @ u  # single forward-backward leg
     return complex(np.trace(a @ bt @ a @ rho @ dag(a) @ dag(bt) @ dag(a)))
@@ -106,7 +106,7 @@ def final_state_conditional_output(psi, s=None, seed: int | None = None):
             raise ValueError("provide a unitary or a seed to draw one")
         s = linalg.haar_random_unitary(n, seed)
     s = np.asarray(s, dtype=complex)
-    if not np.allclose(dag(s) @ s, np.eye(n), atol=1e-8, rtol=0.0):
+    if s.shape != (n, n) or not linalg.is_unitary(s):
         raise ValueError("s must be unitary")
 
     state = linalg.tensor(psi, linalg.maximally_entangled_ket(n))  # M (x) in (x) out

@@ -313,7 +313,7 @@ def ctc_probability(u_sa: np.ndarray, rho_s: np.ndarray, d: int) -> float:
     d_s = rho_s.shape[0]
     if u.shape != (d_s * d, d_s * d):
         raise ValueError("unitary dimension does not match d_S * d_A")
-    if not np.allclose(dag(u) @ u, np.eye(d_s * d), atol=1e-8, rtol=0.0):
+    if not linalg.is_unitary(u):
         raise ValueError("u_sa is not unitary")
     c = linalg.partial_trace(u, (d_s, d), keep=0)
     return float(np.real(np.trace(c @ rho_s @ dag(c))) / d**2)

@@ -95,7 +95,7 @@ def is_valid_process(w: ProcessMatrix, tol: float = 1e-8) -> ProcessValidity:
     trace = float(np.real(np.trace(w.w)))
     expected_trace = w.dims[1] * w.dims[3]  # d_{A_O} d_{B_O}, past/future trivial
     projected = lv_project(w).w
-    residual = float(np.max(np.abs(projected - w.w)))
+    residual = linalg.margin(projected, w.w)
     return ProcessValidity(
         psd=bool(eigs.min() >= -max(tol, 1e-9)),
         trace_ok=bool(abs(trace - expected_trace) <= tol * max(1.0, expected_trace)),
@@ -137,7 +137,7 @@ class Instrument:
         d_in, d_out = self.dims
         total = sum(np.asarray(self.cj_ops[(a, x)], dtype=complex) for a in self.outcomes(x))
         marg = linalg.partial_trace(total, (d_in, d_out), keep=0)
-        return float(np.max(np.abs(marg - np.eye(d_in))))
+        return linalg.margin(marg, np.eye(d_in))
 
 
 def process_correlation(

@@ -166,10 +166,7 @@ def symmetrization_bruteforce_series(ch: KrausChannel, n_max: int) -> Correlatio
                 continue
             state = proj @ rho0 @ proj / weight
             for _ in range(n - 1):
-                two = linalg.tensor(apply(ch, state), apply(ch, state))
-                two = SYMMETRIZER @ two @ SYMMETRIZER
-                norm = np.trace(two).real
-                state = linalg.partial_trace(two / norm, (2, 2), keep=0)
+                state = _symmetrize_pair(apply(ch, state))
             total += weight * sign * np.real(np.trace(X @ state))
         vals.append(total)
     return CorrelationSeries(vals, label="bruteforce symmetrization")

@@ -68,6 +68,25 @@ class TestNonFiniteRefused:
             with pytest.raises(ValueError):
                 KrausChannel([k])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unitary_channel(self, bad):
+        # U^dag U of an infinite entry holds inf * 0: a ValueError, not a RuntimeWarning
+        with pytest.raises(ValueError, match="not unitary"):
+            channels.unitary_channel(np.array([[bad, 0], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0), (0, 2)])
+def test_empty_kraus_operators_refused(shape):
+    # an empty array is within any tolerance of another, so the completeness check cannot refuse it
+    with pytest.raises(ValueError, match="nonzero dimensions"):
+        KrausChannel([np.zeros(shape, dtype=complex)])
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_unitary_channel_refuses_a_non_square_matrix(shape):
+    with pytest.raises(ValueError, match="not unitary"):
+        channels.unitary_channel(np.ones(shape, dtype=complex))
+
 
 class TestConstructors:
     def test_depolarizing_matches_affine_form(self):

@@ -48,6 +48,12 @@ class TestFamilyValidation:
         with pytest.raises(ValueError):
             HistoryFamily(ZERO, [(plus, minus), (plus, minus)], [np.ones((2, 2))])
 
+    @pytest.mark.parametrize("u", [np.eye(2, 3), linalg.haar_random_unitary(3, 1)])
+    def test_rejects_a_gap_of_the_wrong_shape(self, u):
+        plus, minus = linalg.dichotomic_projectors(Z)
+        with pytest.raises(ValueError, match="gap evolutions must be unitary"):
+            HistoryFamily(ZERO, [(plus, minus), (plus, minus)], [u])
+
 
 class TestDecoherenceFunctional:
     def test_eigenstate_history(self):

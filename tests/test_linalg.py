@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from spacetimeq import linalg
@@ -135,6 +139,85 @@ class TestNonFiniteRefused:
         obs[entry] = bad
         with pytest.raises(ValueError):
             linalg.dichotomic_projectors(obs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_is_unitary(self, bad, entry):
+        u = linalg.haar_random_unitary(3, 2)
+        u[entry] = bad
+        assert not linalg.is_unitary(u)
+        assert not linalg.is_unitary(u, atol=1e300)
+
+
+@st.composite
+def finite_pairs(draw):
+    """Two finite complex arrays of one shape and a tolerance, often exactly at or just below their margin."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=5))
+    entries = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+    a = draw(hnp.arrays(complex, shape, elements=entries))
+    b = draw(hnp.arrays(complex, shape, elements=entries))
+    gap = float(np.max(np.abs(a - b)))
+    atol = draw(st.sampled_from([gap, np.nextafter(gap, 0.0), gap * 2, gap / 2, 0.0, 1e-10]))
+    return a, b, float(atol)
+
+
+class TestClosenessRule:
+    """margin, within and is_unitary: np.allclose(..., rtol=0) and np.max(np.abs(a - b)) are the oracles."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(finite_pairs())
+    def test_matches_the_old_route_on_finite_arrays(self, case):
+        a, b, atol = case
+        assert linalg.margin(a, b) == np.max(np.abs(a - b))
+        assert linalg.within(a, b, atol) == np.allclose(a, b, atol=atol, rtol=0)
+
+    def test_margin_is_nan_for_nan_or_equal_infinities(self):
+        assert np.isnan(linalg.margin(np.array([1.0, np.nan]), np.array([1.0, 2.0])))
+        assert np.isnan(linalg.margin(np.array([np.inf, 0.0]), np.array([np.inf, 0.0])))
+        assert linalg.margin(np.array([np.inf]), np.array([0.0])) == np.inf
+        assert not linalg.within(np.array([np.inf]), np.array([np.inf]), 1e300)
+
+    def test_empty_arrays_are_within_any_tolerance(self):
+        empty = np.zeros((0, 0))
+        assert linalg.margin(empty, empty) == 0.0
+        assert linalg.within(empty, empty, 0.0) == np.allclose(empty, empty, atol=0.0, rtol=0)
+        assert linalg.is_unitary(empty)
+
+    def test_haar_unitary(self):
+        for d in (1, 2, 5):
+            assert linalg.is_unitary(linalg.haar_random_unitary(d, d))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+    def test_non_square_is_not_unitary(self, shape):
+        assert not linalg.is_unitary(np.ones(shape, dtype=complex))
+
+    def test_perturbed_by_twice_the_tolerance(self):
+        u = linalg.haar_random_unitary(4, 11)
+        for atol in (1e-8, 1e-4):
+            assert linalg.is_unitary(u * (1 + atol / 4), atol)
+            # (1 + 2 atol)^2 - 1 > atol on the diagonal of U^dag U
+            assert not linalg.is_unitary(u * (1 + 2 * atol), atol)
+        assert not linalg.is_unitary(u * (1 + 2e-8))  # the default tolerance is 1e-8
+
+
+def test_closeness_checks_go_through_linalg():
+    """No tolerance check outside linalg repeats the closeness rule by hand.
+
+    The one exception is the covariance symmetry check, whose comment says why: an
+    overflowing covariance is symmetric with equal infinities, which np.allclose accepts.
+    """
+    allowed = {("gaussian.py", "if not np.allclose(cov, cov.T, atol=1e-10, rtol=0.0):")}
+    found = set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            if "allclose(" in line or "np.max(np.abs(" in line:
+                found.add((path.name, line.strip()))
+                if (path.name, line.strip()) in allowed:
+                    assert lines[i - 1].strip().startswith("#"), f"{path.name}:{i + 1} lost its comment"
+    assert found <= allowed, sorted(found - allowed)
 
 
 class TestHaar:

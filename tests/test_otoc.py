@@ -41,6 +41,10 @@ class TestOtocDirect:
         with pytest.raises(ValueError):
             OtocSpec(v=X, w=Z, u=np.ones((2, 2), dtype=complex), rho=I2 / 2)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="u must be unitary"):
+            OtocSpec(v=X, w=Z, u=np.eye(2, 3, dtype=complex), rho=I2 / 2)
+
 
 class TestOtocViaPdm:
     def test_identity_probe_reduces(self):
@@ -122,6 +126,11 @@ class TestFinalState:
     def test_requires_unitary(self):
         with pytest.raises(ValueError):
             final_state_conditional_output([1, 0], np.ones((2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("s", [np.eye(2, 3, dtype=complex), linalg.haar_random_unitary(3, 1)])
+    def test_requires_a_unitary_of_the_state_dimension(self, s):
+        with pytest.raises(ValueError, match="s must be unitary"):
+            final_state_conditional_output([1, 0], s)
 
 
 class TestHarmonicCorrelations:
