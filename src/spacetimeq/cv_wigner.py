@@ -142,7 +142,10 @@ def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:
     grid is symmetric under theta -> -theta. The grid is also invariant under quarter
     turns, which multiply the phase by i^d, so c_r(d) = 0 unless 4 divides d (the centre
     cell of an odd grid has no angle, but D(0) = 1 has no off-diagonal entries) and S
-    splits into the blocks m = n (mod 4). With D(2r) = V e^{-2i r Lambda} V^dag,
+    splits into the blocks m = n (mod 4). For such d, cos(d theta) is invariant under
+    the whole dihedral symmetry of the grid, so only the octant 0 <= ky <= kx is
+    enumerated, each cell weighted by its orbit: 8 inside, 4 on the diagonal or the
+    axis, 1 at the centre. With D(2r) = V e^{-2i r Lambda} V^dag,
 
         S_mn = sum_j V_mj V*_nj F(|m - n|, j),   F(d, j) = sum_r c_r(d) e^{-2i r lambda_j},
 
@@ -151,12 +154,15 @@ def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:
     """
     if not radius >= 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    k = 2 * np.arange(points) - (points - 1)
-    kx, ky = (axis.ravel() for axis in np.meshgrid(k, k, indexing="ij"))
-    key = kx * kx + ky * ky
-    order = np.argsort(key, kind="stable")[: np.count_nonzero(key <= points * points)]
+    k = np.arange((points - 1) % 2, points, 2)  # the non-negative half-cell multiples
+    square = (k * k)[:, None] + k * k
+    ix, iy = np.nonzero((square <= points * points) & (k <= k[:, None]))  # the octant in the disc
+    key = square[ix, iy]
+    order = np.argsort(key, kind="stable")
     keys, starts = np.unique(key[order], return_index=True)
-    theta = np.arctan2(ky[order], kx[order])
+    kx, ky = k[ix[order]], k[iy[order]]
+    theta = np.arctan2(ky, kx)
+    weight = np.where(kx == 0, 1.0, np.where((ky == 0) | (ky == kx), 4.0, 8.0))
     h = 2.0 * radius / points
     radii = 0.5 * h * np.sqrt(keys)
 
@@ -167,7 +173,8 @@ def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:
     block = max(1, GRID_BLOCK_ENTRIES // n_max)
     for lo in range(0, len(keys), block):
         hi = min(lo + block, len(keys))
-        cosines = np.cos(np.outer(theta[bounds[lo]:bounds[hi]], offsets))
+        cells = slice(bounds[lo], bounds[hi])
+        cosines = weight[cells, None] * np.cos(np.outer(theta[cells], offsets))
         phases = np.add.reduceat(cosines, starts[lo:hi] - starts[lo], axis=0)
         f += phases.T @ np.exp(-2j * np.outer(radii[lo:hi], lam))
     total = np.zeros((n_max, n_max), dtype=complex)

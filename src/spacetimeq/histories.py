@@ -44,8 +44,12 @@ class HistoryFamily:
         us = tuple(np.asarray(u, dtype=complex) for u in unitaries)
         if len(us) != len(sets) - 1:
             raise ValueError("need one unitary per gap between successive times")
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+            raise ValueError(f"the initial state must be a square matrix, got shape {rho.shape}")
         d = rho.shape[0]
         for t, group in enumerate(sets):
+            if any(p.shape != (d, d) for p in group):
+                raise ValueError(f"projectors at time {t} must be {d} x {d}, like the initial state")
             total = sum(group)
             if not linalg.within(total, np.eye(d), atol):
                 raise ValueError(f"projectors at time {t} are not exhaustive")

@@ -55,6 +55,9 @@ def otoc_via_pdm(a: np.ndarray, b: np.ndarray, u: np.ndarray, rho: np.ndarray) -
     u = np.asarray(u, dtype=complex)
     b = np.asarray(b, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or any(m.shape != a.shape for m in (b, u, rho)):
+        raise ValueError(f"A, B, U and rho must be square matrices of one size, got shapes "
+                         f"{a.shape}, {b.shape}, {u.shape} and {rho.shape}")
     d = a.shape[0]
     if not linalg.within(a @ dag(a), a, 1e-10):
         raise ValueError("A must satisfy A A^dag = A (projector)")

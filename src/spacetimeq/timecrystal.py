@@ -242,7 +242,7 @@ class FloquetChainSpec:
         if self.length < 2:
             raise ValueError("chain length must be at least 2")
         if self.length > MAX_CHAIN_LENGTH:
-            raise ValueError(f"the dense Floquet unitary is limited to {MAX_CHAIN_LENGTH} sites")
+            raise ValueError(f"chain length {self.length} exceeds MAX_CHAIN_LENGTH = {MAX_CHAIN_LENGTH}")
 
     def couplings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.disorder_seed)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spacetimeq import cli
+import spacetimeq
+from spacetimeq import cli, timecrystal
 
 
 def run(capsys, *argv):
@@ -521,6 +522,81 @@ def test_cli_process_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[0, 0] []"
+
+
+def test_chain_bound_is_the_library_bound():
+    assert cli.MAX_CHAIN_LENGTH == timecrystal.MAX_CHAIN_LENGTH
+
+
+def python_in_subprocess(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c script args`` in a fresh interpreter, the package's source directory on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+# Runs ``python -m spacetimeq.cli ARGS`` (``import spacetimeq`` when there are none) and prints, last,
+# the exit code and the package's submodules whose code ran, seen through the "exec" audit event.
+EXECUTED_SUBMODULES = """
+import os, runpy, sys
+ran = set()
+def record(event, args):
+    path = getattr(args[0], "co_filename", "") if event == "exec" else ""
+    if os.path.basename(os.path.dirname(path)) == "spacetimeq":
+        ran.add(os.path.basename(path).removesuffix(".py"))
+sys.addaudithook(record)
+code = 0
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("spacetimeq.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import spacetimeq
+print(code, sorted(ran - {"__init__", "cli"}))
+"""
+
+
+class TestLazySubmodules:
+    @pytest.mark.parametrize("argv, code, executed", [
+        ((), 0, []),
+        (("nosuchgroup",), 2, []),
+        (("tc", "floquet", "--length", "13", "--seed", "1"), 2, []),
+        (("gaussian", "pt"), 0, ["gaussian", "linalg"]),
+        (("pdm", "eigen"), 0, ["channels", "linalg", "pdm"]),
+    ], ids=["import", "unknown-group", "refused-length", "gaussian-pt", "pdm-eigen"])
+    def test_a_call_executes_only_its_experiments_modules(self, argv, code, executed):
+        done = python_in_subprocess(EXECUTED_SUBMODULES, *argv)
+        assert done.stdout.splitlines()[-1] == f"{code} {executed}", done.stderr
+
+    def test_star_import_and_dir_list_every_submodule(self):
+        modules = {"channels", "cv_wigner", "gaussian", "histories", "linalg", "otoc", "pdm", "process_matrix",
+                   "timecrystal"}
+        namespace = {}
+        exec("from spacetimeq import *", namespace)
+        assert set(namespace) - {"__builtins__"} == modules
+        assert modules <= set(dir(spacetimeq))
+        assert all(namespace[name] is getattr(cli, name) for name in modules)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'cli_helpers'"):
+            spacetimeq.cli_helpers
+        assert not hasattr(spacetimeq, "nosuchmodule")
+
+
+def test_widest_normcheck_grid_stays_small():
+    # 1930 points at 2 levels is inside MAX_NORMCHECK_WORK; its grid sum enumerates one octant. The
+    # call runs in a grandchild, because a process's ru_maxrss starts from that of its forking parent
+    script = ("import resource, subprocess, sys\n"
+              "argv = ['cv-wigner', 'normcheck', '--points', '1930', '--nmax', '2']\n"
+              "done = subprocess.run([sys.executable, '-m', 'spacetimeq.cli', *argv], capture_output=True)\n"
+              "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    done = python_in_subprocess(script)
+    code, peak = map(int, done.stdout.split())
+    peak_mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes there, KiB elsewhere
+    assert code == cli.EXIT_INVARIANT  # the identity channel is unresolved on 2 levels
+    assert peak_mb < 120
 
 
 # -- fuzzing every experiment through its declared parameters -----------------

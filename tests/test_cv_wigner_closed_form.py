@@ -60,6 +60,28 @@ def per_cell_normalization_check(rho, ch, radius, points, n_max):
     return float(np.real(2.0 * np.trace((t_sum * scale) @ apply(ch, signed_mix * scale))))
 
 
+def full_grid_parity_sum(radius, points, n_max):
+    """The grid parity sum with every cell of the square enumerated: the radii and the angles of
+    all points^2 cells, one phase sum per radius and offset, then the same closed form per block."""
+    k = 2 * np.arange(points) - (points - 1)
+    kx, ky = (axis.ravel() for axis in np.meshgrid(k, k, indexing="ij"))
+    key = kx * kx + ky * ky
+    inside = key <= points * points
+    keys, which = np.unique(key[inside], return_inverse=True)
+    offsets = np.arange(0, n_max, 4)
+    phases = np.zeros((len(keys), len(offsets)))
+    np.add.at(phases, which, np.cos(np.outer(np.arctan2(ky[inside], kx[inside]), offsets)))
+    h = 2.0 * radius / points
+    lam, v = cv_wigner._generator_spectrum(n_max)
+    f = phases.T @ np.exp(-2j * np.outer(0.5 * h * np.sqrt(keys), lam))
+    total = np.zeros((n_max, n_max), dtype=complex)
+    for first in range(min(4, n_max)):
+        idx = np.arange(first, n_max, 4)
+        distance = np.abs(idx[:, None] - idx[None, :]) // 4
+        total[np.ix_(idx, idx)] = np.einsum("aj,abj,bj->ab", v[idx], f[distance], v[idx].conj())
+    return total * (cv_wigner.parity(n_max).real.diagonal() * (h * h / np.pi))
+
+
 def loop_cascade_monte_carlo(rho, ch, alpha, beta, n_max, samples, seed):
     """One pair of scalar draws per sample, outcome at t1 first."""
     rng = np.random.default_rng(seed)
@@ -196,6 +218,19 @@ class TestAgainstPerCellRoute:
         whole = cv_wigner.wigner_normalization_check(rho, ch, 2.5, 16, 12)
         monkeypatch.setattr(cv_wigner, "GRID_BLOCK_ENTRIES", entries)
         assert abs(cv_wigner.wigner_normalization_check(rho, ch, 2.5, 16, 12) - whole) < 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 70), st.integers(2, 44), st.floats(0.0, 5.0))
+    def test_octant_grid_sum_matches_the_full_grid(self, points, n_max, radius):
+        got = cv_wigner._grid_parity_sum(radius, points, n_max)
+        want = full_grid_parity_sum(radius, points, n_max)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("points, n_max", [(1, 40), (2, 40), (7, 40), (12, 40), (13, 40), (64, 40)])
+    def test_octant_grid_sum_at_edge_and_benchmark_grids(self, points, n_max):
+        got = cv_wigner._grid_parity_sum(4.0, points, n_max)
+        want = full_grid_parity_sum(4.0, points, n_max)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
     def test_non_hermitian_state_raises(self):
         # the signed state stays (U rho + rho U)/2, so an anti-Hermitian part shows as an imaginary value

@@ -54,6 +54,16 @@ class TestFamilyValidation:
         with pytest.raises(ValueError, match="gap evolutions must be unitary"):
             HistoryFamily(ZERO, [(plus, minus), (plus, minus)], [u])
 
+    @pytest.mark.parametrize("initial, projector", [(EYE / 2, np.eye(3)), (np.eye(3) / 3, EYE)])
+    def test_rejects_projectors_of_another_size(self, initial, projector):
+        with pytest.raises(ValueError, match="projectors at time 0 must be"):
+            HistoryFamily(initial, [(projector,)], ())
+
+    @pytest.mark.parametrize("initial", [np.ones(2) / 2, np.ones((2, 3)) / 2])
+    def test_rejects_a_non_square_state(self, initial):
+        with pytest.raises(ValueError, match="initial state must be a square matrix"):
+            HistoryFamily(initial, [(EYE,)], ())
+
 
 class TestDecoherenceFunctional:
     def test_eigenstate_history(self):

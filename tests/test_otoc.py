@@ -78,6 +78,13 @@ class TestOtocViaPdm:
         with pytest.raises(ValueError):
             otoc_via_pdm((I2 + Z) / 2, Z, np.eye(2, dtype=complex), np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("a, b, u, rho", [
+        (np.eye(3), I2, I2, I2 / 2), (I2, np.eye(3), I2, I2 / 2), (I2, I2, np.eye(3), I2 / 2),
+        (I2, I2, I2, np.eye(3) / 3), (np.eye(2, 3), I2, I2, I2 / 2)])
+    def test_operands_of_another_size_refused(self, a, b, u, rho):
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            otoc_via_pdm(a, b, u, rho)
+
 
 class TestFinalState:
     def test_trivial_case(self):

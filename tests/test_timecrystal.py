@@ -196,7 +196,7 @@ class TestFloquet:
         assert np.max(np.abs(linalg.dag(u) @ u - np.eye(16))) < 1e-10
 
     def test_length_limits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chain length 13 exceeds MAX_CHAIN_LENGTH = 12"):
             FloquetChainSpec(length=13)
         with pytest.raises(ValueError):
             FloquetChainSpec(length=1)
