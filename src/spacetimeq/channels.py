@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spacetimeq import linalg
-from spacetimeq.linalg import ATOL, I2, X, Y, Z, dag
+from spacetimeq.linalg import I2, X, Y, Z, dag
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,9 @@ def identity_channel(d: int = 2) -> KrausChannel:
     return KrausChannel([np.eye(d, dtype=complex)])
 
 
-def unitary_channel(u: np.ndarray, atol: float = ATOL) -> KrausChannel:
+def unitary_channel(u: np.ndarray) -> KrausChannel:
     u = np.asarray(u, dtype=complex)
-    if not linalg.is_unitary(u, max(atol, 1e-8)):
+    if not linalg.is_unitary(u, 1e-8):
         raise ValueError("matrix is not unitary")
     return KrausChannel([u])
 

@@ -46,12 +46,13 @@ EXIT_OK, EXIT_VALIDATION, EXIT_INVARIANT, EXIT_IO = 0, 2, 3, 4
 #: each), and the largest log2 of the closed-form count it computes (about 1200 digits)
 MAX_ENUMERATED_VERTICES, MAX_COUNT_BITS = 100_000, 4096
 #: Bounds of ``cv-wigner``: the most Fock levels (the phase-damping channel holds nmax^3 complex
-#: entries, 32 MiB at 128), and the most points^2 * (nmax + 16) / 4 + nmax^3 / 16 of a normcheck,
-#: the cost of its grid parity sum in units of about 35 ns (a fixed part per cell, one per four
-#: levels and cell, and the spectrum; the sum now enumerates one octant of the cells, so this
-#: overstates the cost twofold or more): at the bound, 679 points at 128 levels take 0.32 s in the
-#: grid sum and 0.59 s per call, and 1930 points at 2 levels peak at 68 MB (2-vCPU x86-64)
-MAX_FOCK_LEVELS, MAX_NORMCHECK_WORK = 128, 2**24
+#: entries, 32 MiB at 128), and the most points^2 * (nmax^2 / 256 + nmax + 16) of a normcheck, the
+#: cost of its octant grid sum in units of about 2 ns (per cell: a fixed part, a part per level for
+#: the angle phases and radial exponentials, and their product, quadratic in the levels), fit by
+#: timing the sum at 2 to 128 levels. At the bound, from 679 points at 128 levels to 2308 at 2
+#: levels, the grid sum takes 0.17-0.28 s and a call 0.34-0.45 s, and the 2308-point call peaks at
+#: 84 MB (2-vCPU x86-64)
+MAX_FOCK_LEVELS, MAX_NORMCHECK_WORK = 128, 96_000_000
 #: The most events of a ``pdm`` process (its matrix is 2^n x 2^n; at 10 events it builds in about
 #: 0.4 s and diagonalizes in 0.5 s)
 MAX_PDM_EVENTS = 10
@@ -332,9 +333,9 @@ def _cv_point(p):
 @experiment("cv-wigner.normcheck", CV_CHANNEL, Param("--radius", float, 4.0, lo=0.0),
             Param("--points", int, 64, lo=1), NMAX, Param("--tol", float, 0.02))
 def _cv_normcheck(p):
-    if 4 * p.points ** 2 * (p.nmax + 16) + p.nmax ** 3 > 16 * MAX_NORMCHECK_WORK:
+    if p.points ** 2 * (p.nmax ** 2 + 256 * p.nmax + 4096) > 256 * MAX_NORMCHECK_WORK:
         raise ValueError(f"--points {p.points} with --nmax {p.nmax} exceeds the budget "
-                         f"points^2 * (nmax + 16) / 4 + nmax^3 / 16 <= {MAX_NORMCHECK_WORK}")
+                         f"points^2 * (nmax^2 / 256 + nmax + 16) <= {MAX_NORMCHECK_WORK}")
     val = cv_wigner.wigner_normalization_check(*_vacuum_and_channel(p), p.radius, p.points, p.nmax)
     return _require(abs(val - 1.0) <= p.tol, f"normalization {val} deviates beyond {p.tol}",
                     {"normalization": val, "within_tolerance": bool(abs(val - 1.0) <= p.tol)})

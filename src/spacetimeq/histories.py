@@ -38,7 +38,7 @@ class HistoryFamily:
     projector_sets: tuple[tuple[np.ndarray, ...], ...]
     unitaries: tuple[np.ndarray, ...]
 
-    def __init__(self, initial, projector_sets, unitaries=(), atol: float = 1e-10):
+    def __init__(self, initial, projector_sets, unitaries=()):
         rho = np.asarray(initial, dtype=complex)
         sets = tuple(tuple(np.asarray(p, dtype=complex) for p in s) for s in projector_sets)
         us = tuple(np.asarray(u, dtype=complex) for u in unitaries)
@@ -51,12 +51,12 @@ class HistoryFamily:
             if any(p.shape != (d, d) for p in group):
                 raise ValueError(f"projectors at time {t} must be {d} x {d}, like the initial state")
             total = sum(group)
-            if not linalg.within(total, np.eye(d), atol):
+            if not linalg.within(total, np.eye(d), 1e-10):
                 raise ValueError(f"projectors at time {t} are not exhaustive")
             for i, p in enumerate(group):
                 for j, q in enumerate(group):
                     expected = p if i == j else np.zeros_like(p)
-                    if not linalg.within(p @ q, expected, max(atol, 1e-9)):
+                    if not linalg.within(p @ q, expected, 1e-9):
                         raise ValueError(f"projectors at time {t} are not exclusive")
         for u in us:
             if u.shape != (d, d) or not linalg.is_unitary(u):

@@ -204,12 +204,12 @@ def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return tensor(*ops)
 
 
-def dichotomic_projectors(obs: np.ndarray, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
+def dichotomic_projectors(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projectors (P+, P-) = (1 +/- O)/2 for an observable with O^2 = 1."""
     d = obs.shape[0]
     with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN, which within() refuses
         square = obs @ obs
-    if not within(square, np.eye(d), max(atol, 1e-8)):
+    if not within(square, np.eye(d), 1e-8):
         raise ValueError("observable does not square to the identity")
     eye = np.eye(d, dtype=complex)
     return (eye + obs) / 2.0, (eye - obs) / 2.0

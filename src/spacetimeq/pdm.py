@@ -1,13 +1,15 @@
 """Pseudo-density matrices over temporal processes.
 
 A process is an initial state plus a chain of CPTP steps, one per gap
-between successive events. Correlations are expectation values of products
-of +/-1 measurement outcomes obtained from a projective cascade with
-Lueders updates; the pseudo-density matrix is the operator whose Pauli
-components are those correlations. It is built in closed form by an
-iterated Jordan product, and the cascade is its definition and test
-oracle. It is Hermitian and unit-trace but, unlike a density matrix, may
-carry negative eigenvalues; those are the signature of temporal
+between successive events; an event may have any dimension, and a step
+may change it. Correlations are expectation values of products of +/-1
+measurement outcomes obtained from a projective cascade with Lueders
+updates. The pseudo-density matrix is the operator whose product-observable
+expectations Tr[(O_1 (x) ... (x) O_n) R] are those correlations; on qubit
+events its Pauli components are the correlations. It is built in closed
+form by an iterated Jordan product, and the cascade is its definition and
+test oracle. It is Hermitian and unit-trace but, unlike a density matrix,
+may carry negative eigenvalues; those are the signature of temporal
 correlations.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from spacetimeq import linalg
 from spacetimeq.channels import KrausChannel, apply, choi_of_channel
-from spacetimeq.linalg import ATOL, dag
+from spacetimeq.linalg import dag
 
 
 @dataclass(frozen=True)
@@ -29,15 +31,15 @@ class TemporalProcess:
     initial: np.ndarray
     steps: tuple[KrausChannel, ...]
 
-    def __init__(self, initial, steps=(), atol: float = ATOL):
+    def __init__(self, initial, steps=()):
         rho = np.asarray(initial, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("initial state must be a square matrix")
-        if abs(np.trace(rho) - 1.0) > max(atol, 1e-8):
+        if abs(np.trace(rho) - 1.0) > 1e-8:
             raise ValueError("initial state must have unit trace")
-        if not linalg.is_hermitian(rho, atol=max(atol, 1e-8)):
+        if not linalg.is_hermitian(rho, atol=1e-8):
             raise ValueError("initial state must be Hermitian")
-        if np.linalg.eigvalsh(rho).min() < -max(atol, 1e-8):
+        if np.linalg.eigvalsh(rho).min() < -1e-8:
             raise ValueError("initial state must be positive semi-definite")
         steps = tuple(steps)
         d = rho.shape[0]
@@ -55,26 +57,28 @@ class TemporalProcess:
 
 @dataclass(frozen=True)
 class PDM:
-    """Pseudo-density matrix over n events of one or more qubits each."""
+    """Pseudo-density matrix over events of the given dimensions, one tensor factor each.
 
-    n_events: int
-    qubits_per_event: int
+    Tr[(O_1 (x) ... (x) O_n) R] is the cascade correlation of the per-event
+    observables O_k; when every event is a qubit, these are its Pauli components.
+    """
+
+    event_dims: tuple[int, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        d = (2**self.qubits_per_event) ** self.n_events
-        if m.shape != (d, d):
-            raise ValueError("matrix shape inconsistent with event structure")
+        dims = linalg.check_dims(m, self.event_dims)
         if not linalg.is_hermitian(m, atol=1e-8):
             raise ValueError("pseudo-density matrix must be Hermitian")
         if abs(np.trace(m) - 1.0) > 1e-8:
             raise ValueError("pseudo-density matrix must have unit trace")
+        object.__setattr__(self, "event_dims", dims)
         object.__setattr__(self, "matrix", m)
 
     @property
-    def event_dims(self) -> tuple[int, ...]:
-        return (2**self.qubits_per_event,) * self.n_events
+    def n_events(self) -> int:
+        return len(self.event_dims)
 
 
 def _event_observable(spec, dim: int) -> np.ndarray:
@@ -100,12 +104,10 @@ def event_correlation(proc: TemporalProcess, paulis) -> float:
     obs = list(paulis)
     if len(obs) != proc.n_events:
         raise ValueError(f"need {proc.n_events} observables, got {len(obs)}")
-    d0 = proc.initial.shape[0]
-    mats = [_event_observable(o, d0) for o in obs]
-
     # one signed state: the sum over outcome branches of sign-product times conditional state
     signed = proc.initial
-    for t, m in enumerate(mats):
+    for t, o in enumerate(obs):
+        m = _event_observable(o, signed.shape[0])
         if m.shape[0] != signed.shape[0]:
             raise ValueError("observable dimension does not match the state")
         plus, minus = linalg.dichotomic_projectors(m)
@@ -116,29 +118,25 @@ def event_correlation(proc: TemporalProcess, paulis) -> float:
 
 
 def build_pdm(proc: TemporalProcess) -> PDM:
-    """The pseudo-density matrix (1/d^n) sum_s <sigma_s> sigma_s of the process.
+    """The pseudo-density matrix of the process, over events of any dimensions.
 
     It is the state over time R_1 = rho, R_{k+1} = (1/2){R_k (x) 1, 1 (x) J(E_k)}
     with J(E) = sum_ij |i><j| (x) E(|j><i|) (Horsman et al., Proc. R. Soc. A 473,
-    20170395 (2017); Fullwood & Parzygnat, Proc. R. Soc. A 478 (2022)); the Pauli
-    components of the result are the cascade correlations of ``event_correlation``.
+    20170395 (2017); Fullwood & Parzygnat, Proc. R. Soc. A 478, 20220104 (2022)).
+    Its product-observable expectations are the cascade correlations of
+    ``event_correlation``; on qubit events it is (1/d^n) sum_s <sigma_s> sigma_s.
     """
-    d0 = proc.initial.shape[0]
-    nq = int(round(np.log2(d0)))
-    if 2**nq != d0:
-        raise ValueError("pseudo-density construction needs qubit event spaces")
-    for ch in proc.steps:
-        if ch.in_dim != d0 or ch.out_dim != d0:
-            raise ValueError("all event spaces must share the qubit dimension")
     r = proc.initial.copy()
     for ch in proc.steps:
+        d_in, d_out = ch.in_dim, ch.out_dim
         # J(E) is the Choi matrix with its factors swapped and its input transposed
-        j = choi_of_channel(ch).matrix.reshape(d0, d0, d0, d0).transpose(3, 0, 1, 2)
-        left = np.kron(r, np.eye(d0))
-        right = np.kron(np.eye(r.shape[0] // d0), j.reshape(d0 * d0, d0 * d0))
+        j = choi_of_channel(ch).matrix.reshape(d_out, d_in, d_out, d_in).transpose(3, 0, 1, 2)
+        left = np.kron(r, np.eye(d_out))
+        right = np.kron(np.eye(r.shape[0] // d_in), j.reshape(d_in * d_out, d_in * d_out))
         prod = left @ right
         r = (prod + dag(prod)) / 2  # both factors are Hermitian, so right @ left = dag(prod)
-    return PDM(n_events=proc.n_events, qubits_per_event=nq, matrix=r)
+    dims = (proc.initial.shape[0],) + tuple(ch.out_dim for ch in proc.steps)
+    return PDM(event_dims=dims, matrix=r)
 
 
 def spacelike_pdm(rho: np.ndarray, n_events: int) -> PDM:
@@ -149,17 +147,15 @@ def spacelike_pdm(rho: np.ndarray, n_events: int) -> PDM:
     Pauli reconstruction returns rho itself and the object is genuinely
     positive semi-definite.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2**n_events, 2**n_events):
-        raise ValueError("state dimension must be one qubit per event")
-    return PDM(n_events=n_events, qubits_per_event=1, matrix=rho)
+    return PDM(event_dims=(2,) * n_events, matrix=rho)
 
 
 def expectation_from_pdm(r: PDM, ops) -> float:
     """Tr[(O_1 (x) ... (x) O_n) R] for per-event +/-1-eigenvalue observables."""
-    d_event = 2**r.qubits_per_event
-    mats = [_event_observable(o, d_event) for o in ops]
-    full = linalg.tensor(*mats)
+    ops = list(ops)
+    if len(ops) != r.n_events:
+        raise ValueError(f"need {r.n_events} observables, got {len(ops)}")
+    full = linalg.tensor(*(_event_observable(o, d) for o, d in zip(ops, r.event_dims)))
     if full.shape != r.matrix.shape:
         raise ValueError("observable dimensions do not match the pseudo-density matrix")
     return float(np.real(np.trace(full @ r.matrix)))
@@ -249,6 +245,8 @@ def _postselected_branch_probs(rho, ch: KrausChannel, i: int, j: int, eta):
     pi_plus, pi_minus = linalg.dichotomic_projectors(linalg.PAULIS[i])
     pj_plus, pj_minus = linalg.dichotomic_projectors(linalg.PAULIS[j])
     eta = np.asarray(eta, dtype=complex)
+    if eta.shape != (2, 2):
+        raise ValueError(f"eta must be a 2 x 2 one-qubit operator, got shape {eta.shape}")
     probs = {}
     for alpha, pa in ((1, pi_plus), (-1, pi_minus)):
         mid = apply(ch, pa @ rho @ pa)
@@ -286,18 +284,12 @@ def build_postselected_pdm(rho, ch: KrausChannel, eta) -> PDM:
     if tr <= 0:
         raise ValueError("eta must have positive trace")
     eta = eta / tr
-    d_eta = eta.shape[0]
-    nq_eta = int(round(np.log2(d_eta)))
-    if 2**nq_eta != d_eta:
-        raise ValueError("eta must act on qubits")
-    acc = np.zeros((4 * d_eta, 4 * d_eta), dtype=complex)
+    acc = np.zeros((8, 8), dtype=complex)
     for i in range(4):
         for j in range(4):
             corr = postselected_correlation(rho, ch, i, j, eta)
             acc += corr * linalg.tensor(linalg.PAULIS[i], linalg.PAULIS[j], eta)
-    # the eta factor is carried verbatim; bookkeeping treats the two measured
-    # qubits plus the eta register as 2 + nq_eta single-qubit slots
-    return PDM(n_events=2 + nq_eta, qubits_per_event=1, matrix=acc / 4.0)
+    return PDM(event_dims=(2, 2, 2), matrix=acc / 4.0)
 
 
 def ctc_probability(u_sa: np.ndarray, rho_s: np.ndarray, d: int) -> float:

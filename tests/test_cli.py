@@ -376,6 +376,7 @@ class TestWignerBound:
     @pytest.mark.parametrize("argv", [
         ("cv-wigner", "normcheck", "--points", "100000"),
         ("cv-wigner", "normcheck", "--points", "680", "--nmax", "128", "--channel", "phase-damping"),
+        ("cv-wigner", "normcheck", "--points", "2309", "--nmax", "2"),
         ("cv-wigner", "normcheck", "--points", "1", "--nmax", "129"),
         ("cv-wigner", "point", "--nmax", "100000", "--channel", "phase-damping"),
     ])
@@ -586,10 +587,11 @@ class TestLazySubmodules:
 
 
 def test_widest_normcheck_grid_stays_small():
-    # 1930 points at 2 levels is inside MAX_NORMCHECK_WORK; its grid sum enumerates one octant. The
-    # call runs in a grandchild, because a process's ru_maxrss starts from that of its forking parent
+    # 2308 points at 2 levels is the widest grid inside MAX_NORMCHECK_WORK; its grid sum enumerates one
+    # octant. The call runs in a grandchild, because a process's ru_maxrss starts from that of its
+    # forking parent
     script = ("import resource, subprocess, sys\n"
-              "argv = ['cv-wigner', 'normcheck', '--points', '1930', '--nmax', '2']\n"
+              "argv = ['cv-wigner', 'normcheck', '--points', '2308', '--nmax', '2']\n"
               "done = subprocess.run([sys.executable, '-m', 'spacetimeq.cli', *argv], capture_output=True)\n"
               "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
     done = python_in_subprocess(script)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from spacetimeq import channels, linalg, pdm
+from spacetimeq import channels, cv_wigner, linalg, pdm
 from spacetimeq.channels import (KrausChannel, depolarizing, discard_and_prepare, identity_channel,
                                  random_channel, unitary_channel)
 from spacetimeq.linalg import I2, PAULIS, X, Y, Z, dag
@@ -105,16 +105,24 @@ def branch_event_correlation(proc, observables):
     return float(sum(sign * np.trace(state).real for sign, state in branches))
 
 
+def stinespring_channel(d_in, d_out, extra_rank, seed):
+    """Random CPTP map C^d_in -> C^d_out: the Kraus blocks of a Haar isometry into C^d_out (x) C^r."""
+    rank = -(-d_in // d_out) + extra_rank  # d_out * rank >= d_in, so the isometry exists
+    iso = linalg.haar_random_unitary(d_out * rank, seed)[:, :d_in]
+    return KrausChannel([iso[k * d_out:(k + 1) * d_out, :] for k in range(rank)])
+
+
 @st.composite
-def dichotomic_chains(draw):
-    """A process on d = 2..4 with 1..4 events, each observable V diag(+/-1) V^dag for a Haar V."""
-    d = draw(st.integers(2, 4))
-    n_events = draw(st.integers(1, 4))
+def dichotomic_chains(draw, min_events=1):
+    """A process whose events each have d = 2..4, with min_events..4 events and steps that may
+    change the dimension; each observable is V diag(+/-1) V^dag for a Haar V."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=min_events, max_size=4))
     seed = draw(st.integers(0, 10**6))
-    proc = TemporalProcess(linalg.random_density_matrix(d, seed),
-                           [random_channel(d, draw(st.integers(1, 3)), seed + 1 + k) for k in range(n_events - 1)])
+    steps = [stinespring_channel(d_in, d_out, draw(st.integers(0, 2)), seed + 1 + k)
+             for k, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
+    proc = TemporalProcess(linalg.random_density_matrix(dims[0], seed), steps)
     observables = []
-    for k in range(n_events):
+    for k, d in enumerate(dims):
         v = linalg.haar_random_unitary(d, seed + 100 + k)
         signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d))
         observables.append(v @ np.diag(signs) @ dag(v))
@@ -127,6 +135,47 @@ class TestSignedStateAgainstBranches:
     def test_matches_branch_enumeration(self, case):
         proc, observables = case
         assert abs(event_correlation(proc, observables) - branch_event_correlation(proc, observables)) <= 1e-12
+
+
+class TestEventsOfAnyDimension:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=dichotomic_chains(min_events=2))
+    def test_pdm_reproduces_cascade_correlations(self, case):
+        proc, observables = case
+        r = build_pdm(proc)
+        assert r.event_dims == (proc.initial.shape[0],) + tuple(ch.out_dim for ch in proc.steps)
+        assert abs(expectation_from_pdm(r, observables) - event_correlation(proc, observables)) <= 1e-12
+
+    def test_qutrit_then_qubit(self):
+        # keeps |0> and |1>, sends |2> to |0>; E^dag(Z) = diag(1, -1, 1)
+        step = KrausChannel([np.array([[1, 0, 0], [0, 1, 0]]), np.array([[0, 0, 1], [0, 0, 0]])])
+        rho = linalg.random_density_matrix(3, 5)
+        proc = TemporalProcess(rho, [step])
+        # the signed state after diag(1, -1, -1) is rho_00 |0><0| - (the {1, 2} block of rho)
+        want = np.real(rho[0, 0] + rho[1, 1] - rho[2, 2])
+        observables = [np.diag([1.0, -1.0, -1.0]), 3]
+        assert abs(event_correlation(proc, observables) - want) < 1e-12
+        r = build_pdm(proc)
+        assert r.event_dims == (3, 2)
+        assert abs(expectation_from_pdm(r, observables) - want) < 1e-12
+        assert_allclose(marginal(r, 1), channels.apply(step, rho), atol=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fock_events_give_the_spacetime_wigner_function(self, data):
+        # Tr[(T(alpha) (x) T(beta)) R] is the two-time Wigner value of the process
+        n_max = data.draw(st.integers(4, 12))
+        rho = linalg.random_density_matrix(n_max, data.draw(st.integers(0, 2**16)))
+        ch = data.draw(st.sampled_from([cv_wigner.fock_phase_damping, identity_channel]))(n_max)
+        alpha, beta = (complex(data.draw(st.floats(-2, 2)), data.draw(st.floats(-2, 2))) for _ in range(2))
+        r = build_pdm(TemporalProcess(rho, [ch]))
+        want = cv_wigner.spacetime_wigner_point(rho, ch, alpha, beta, n_max)
+        assert abs(cv_wigner.spatial_wigner_point(r.matrix, alpha, beta, n_max) - want) <= 1e-12
+
+    def test_pdm_checks_its_event_dims(self):
+        with pytest.raises(ValueError):
+            PDM(event_dims=(3, 2), matrix=SWAP / 2)
+        assert PDM(event_dims=(2, 2), matrix=SWAP / 2).n_events == 2
 
 
 class TestBuildPdm:
@@ -235,7 +284,7 @@ class TestClosedFormOracle:
 
 class TestExpectation:
     def test_half_swap_xx(self):
-        r = PDM(n_events=2, qubits_per_event=1, matrix=SWAP / 2)
+        r = PDM(event_dims=(2, 2), matrix=SWAP / 2)
         assert abs(expectation_from_pdm(r, (1, 1)) - 1.0) < 1e-12
 
     def test_zero_state_zi(self):
@@ -299,9 +348,7 @@ class TestCausalityMonotone:
             u = linalg.tensor(
                 linalg.haar_random_unitary(2, seed), linalg.haar_random_unitary(2, seed + 40)
             )
-            rotated = PDM(
-                n_events=2, qubits_per_event=1, matrix=u @ r.matrix @ dag(u)
-            )
+            rotated = PDM(event_dims=(2, 2), matrix=u @ r.matrix @ dag(u))
             assert abs(causality_monotone(rotated) - causality_monotone(r)) < 1e-10
 
 
@@ -371,8 +418,17 @@ class TestPostselection:
         eta = linalg.random_density_matrix(2, 33)
         r = build_postselected_pdm(ZERO, depolarizing(0.1), eta)
         assert r.matrix.shape == (8, 8)
+        assert r.event_dims == (2, 2, 2)
         assert linalg.is_hermitian(r.matrix, atol=1e-10)
         assert abs(np.trace(r.matrix) - 1.0) < 1e-10
+
+
+    def test_eta_beyond_one_qubit_is_refused(self):
+        eta = linalg.random_density_matrix(4, 34)
+        for call in (lambda: build_postselected_pdm(ZERO, depolarizing(0.1), eta),
+                     lambda: postselected_correlation(ZERO, depolarizing(0.1), 3, 3, eta)):
+            with pytest.raises(ValueError, match="one-qubit"):
+                call()
 
 
 class TestCtc:
