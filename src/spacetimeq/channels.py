@@ -223,8 +223,8 @@ class ChoiFlags:
 
 def choi_of_channel(ch: KrausChannel) -> ChoiOperator:
     """Choi matrix sum_{ij} E(|i><j|) (x) |i><j| = sum_k vec(K) vec(K)^dag, vec(K) = K.ravel()."""
-    m = sum(np.outer(k.ravel(), k.ravel().conj()) for k in ch.operators)
-    return ChoiOperator(matrix=m, dims=(ch.out_dim, ch.in_dim))
+    v = np.array(ch.operators).reshape(len(ch.operators), -1)  # row k is vec(K_k)
+    return ChoiOperator(matrix=v.T @ v.conj(), dims=(ch.out_dim, ch.in_dim))
 
 
 def channel_of_choi(c: ChoiOperator):

@@ -20,7 +20,6 @@ entries and the signed diagonal sum are read off D or its diagonal.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -201,9 +200,10 @@ def pdm_correlation_from_df(f: HistoryFamily) -> float:
     if any(len(s) != 2 for s in f.projector_sets):
         raise ValueError("signed sum needs a (+, -) projector pair at every time")
     a, b = _vec_rows(f)
-    diagonal = np.einsum("ij,ij->i", a, b.conj()).real  # Re D(a, a) = Re Tr(C_a rho C_a^dagger)
-    signs = functools.reduce(np.kron, [np.array([1.0, -1.0])] * f.n_times)
-    return float(signs @ diagonal)
+    signed = np.einsum("ij,ij->i", a, b.conj()).real  # Re D(a, a) = Re Tr(C_a rho C_a^dagger)
+    for _ in range(f.n_times):  # the last time's label varies fastest: its + branch minus its - branch
+        signed = signed.reshape(-1, 2) @ np.array([1.0, -1.0])
+    return float(signed[0])
 
 
 def matching_process_correlation(initial, pauli_indices, unitaries) -> float:

@@ -13,6 +13,7 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ def check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d <= 0 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if m.shape != (total, total):
         raise ValueError(f"dims {dims} inconsistent with matrix shape {m.shape}")
     return dims
@@ -84,21 +85,16 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
     the leftmost). The kept factors stay in their original order.
     """
     dims = check_dims(m, dims)
-    keep = [keep] if np.isscalar(keep) else sorted(int(k) for k in keep)
+    keep = [int(keep)] if np.isscalar(keep) else sorted(int(k) for k in keep)
     n = len(dims)
     if any(k < 0 or k >= n for k in keep):
         raise IndexError(f"keep indices {keep} out of range for {n} factors")
-    t = m.reshape(dims + dims)
-    # trace the complement factors one by one, highest axis first
-    traced = 0
-    for ax in range(n - 1, -1, -1):
-        if ax in keep:
-            continue
-        remaining = n - traced
-        t = np.trace(t, axis1=ax, axis2=ax + remaining)
-        traced += 1
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    # one contraction: a traced factor carries one label for its row and column axes
+    rows = list(range(n))
+    cols = [n + k if k in keep else k for k in range(n)]
+    out = np.einsum(m.reshape(dims + dims), rows + cols, keep + [n + k for k in keep])
+    d_keep = math.prod(dims[k] for k in keep)
+    return out.reshape(d_keep, d_keep)
 
 
 def partial_transpose(m: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:
@@ -204,12 +200,16 @@ def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return tensor(*ops)
 
 
-def dichotomic_projectors(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors (P+, P-) = (1 +/- O)/2 for an observable with O^2 = 1."""
-    d = obs.shape[0]
+def require_involution(obs: np.ndarray) -> None:
+    """Raise ValueError unless O^2 = 1 within 1e-8, as a +/-1-valued observable must."""
     with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN, which within() refuses
         square = obs @ obs
-    if not within(square, np.eye(d), 1e-8):
+    if not within(square, np.eye(obs.shape[0]), 1e-8):
         raise ValueError("observable does not square to the identity")
-    eye = np.eye(d, dtype=complex)
+
+
+def dichotomic_projectors(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors (P+, P-) = (1 +/- O)/2 for an observable with O^2 = 1."""
+    require_involution(obs)
+    eye = np.eye(obs.shape[0], dtype=complex)
     return (eye + obs) / 2.0, (eye - obs) / 2.0

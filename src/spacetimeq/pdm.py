@@ -82,15 +82,16 @@ class PDM:
 
 
 def _event_observable(spec, dim: int) -> np.ndarray:
-    """Resolve a per-event observable: Pauli index, index tuple, or matrix."""
+    """Resolve a per-event observable of a ``dim``-dimensional event: Pauli index, index tuple, or matrix."""
     if np.isscalar(spec):
         if dim != 2:
             raise ValueError("a single Pauli index needs a one-qubit event")
         return linalg.PAULIS[int(spec)]
     arr = np.asarray(spec)
-    if arr.ndim == 1:
-        return linalg.pauli_string_matrix(arr.tolist())
-    return np.asarray(spec, dtype=complex)
+    m = linalg.pauli_string_matrix(arr.tolist()) if arr.ndim == 1 else np.asarray(spec, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"observable of shape {m.shape} does not match a {dim}-dimensional event")
+    return m
 
 
 def event_correlation(proc: TemporalProcess, paulis) -> float:
@@ -108,10 +109,10 @@ def event_correlation(proc: TemporalProcess, paulis) -> float:
     signed = proc.initial
     for t, o in enumerate(obs):
         m = _event_observable(o, signed.shape[0])
-        if m.shape[0] != signed.shape[0]:
-            raise ValueError("observable dimension does not match the state")
-        plus, minus = linalg.dichotomic_projectors(m)
-        signed = plus @ signed @ plus - minus @ signed @ minus
+        if np.ndim(o) == 2:  # Pauli indices name exact involutions; a matrix is checked
+            linalg.require_involution(m)
+        # P+ S P+ - P- S P- = (O S + S O)/2 when O^2 = 1: the cross terms cancel
+        signed = (m @ signed + signed @ m) / 2
         if t < len(proc.steps):
             signed = apply(proc.steps[t], signed)
     return float(np.trace(signed).real)
@@ -125,16 +126,21 @@ def build_pdm(proc: TemporalProcess) -> PDM:
     20170395 (2017); Fullwood & Parzygnat, Proc. R. Soc. A 478, 20220104 (2022)).
     Its product-observable expectations are the cascade correlations of
     ``event_correlation``; on qubit events it is (1/d^n) sum_s <sigma_s> sigma_s.
+
+    Neither Kronecker product is formed: with R's column split as (mu, i), i the
+    latest event's index, the product is
+    (R (x) 1)(1 (x) J)[(x, a), (mu, j, b)] = sum_i R[x, (mu, i)] J[(i, a), (j, b)],
+    one matrix product per step.
     """
     r = proc.initial.copy()
     for ch in proc.steps:
         d_in, d_out = ch.in_dim, ch.out_dim
-        # J(E) is the Choi matrix with its factors swapped and its input transposed
+        d = r.shape[0]
+        # J(E) is the Choi matrix with its factors swapped and its input transposed, rows split as (i, a)
         j = choi_of_channel(ch).matrix.reshape(d_out, d_in, d_out, d_in).transpose(3, 0, 1, 2)
-        left = np.kron(r, np.eye(d_out))
-        right = np.kron(np.eye(r.shape[0] // d_in), j.reshape(d_in * d_out, d_in * d_out))
-        prod = left @ right
-        r = (prod + dag(prod)) / 2  # both factors are Hermitian, so right @ left = dag(prod)
+        prod = (r.reshape(-1, d_in) @ j.reshape(d_in, -1)).reshape(d, d // d_in, d_out, d_in * d_out)
+        prod = prod.transpose(0, 2, 1, 3).reshape(d * d_out, d * d_out)
+        r = (prod + dag(prod)) / 2  # both factors are Hermitian, so (1 (x) J)(R (x) 1) = dag(prod)
     dims = (proc.initial.shape[0],) + tuple(ch.out_dim for ch in proc.steps)
     return PDM(event_dims=dims, matrix=r)
 
@@ -151,14 +157,19 @@ def spacelike_pdm(rho: np.ndarray, n_events: int) -> PDM:
 
 
 def expectation_from_pdm(r: PDM, ops) -> float:
-    """Tr[(O_1 (x) ... (x) O_n) R] for per-event +/-1-eigenvalue observables."""
+    """Tr[(O_1 (x) ... (x) O_n) R] for per-event +/-1-eigenvalue observables.
+
+    Each O_k is contracted into its own pair of axes of R as a tensor
+    R[b_1 ... b_n, a_1 ... a_n]; the product operator is never formed.
+    """
     ops = list(ops)
     if len(ops) != r.n_events:
         raise ValueError(f"need {r.n_events} observables, got {len(ops)}")
-    full = linalg.tensor(*(_event_observable(o, d) for o, d in zip(ops, r.event_dims)))
-    if full.shape != r.matrix.shape:
-        raise ValueError("observable dimensions do not match the pseudo-density matrix")
-    return float(np.real(np.trace(full @ r.matrix)))
+    n = r.n_events
+    operands = [r.matrix.reshape(r.event_dims * 2), list(range(2 * n))]
+    for k, (o, d) in enumerate(zip(ops, r.event_dims)):
+        operands += [_event_observable(o, d), [n + k, k]]  # O_k[a_k, b_k]
+    return float(np.einsum(*operands, []).real)
 
 
 def marginal(r: PDM, event: int) -> np.ndarray:
@@ -242,6 +253,12 @@ class UndefinedPostselectionError(ValueError):
 
 
 def _postselected_branch_probs(rho, ch: KrausChannel, i: int, j: int, eta):
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2) or (ch.in_dim, ch.out_dim) != (2, 2):
+        raise ValueError(
+            f"postselection needs a one-qubit state and a one-qubit channel, got state shape {rho.shape} "
+            f"and a {ch.in_dim} -> {ch.out_dim} channel"
+        )
     pi_plus, pi_minus = linalg.dichotomic_projectors(linalg.PAULIS[i])
     pj_plus, pj_minus = linalg.dichotomic_projectors(linalg.PAULIS[j])
     eta = np.asarray(eta, dtype=complex)

@@ -56,9 +56,8 @@ def channel_decay_series(rho, ch: KrausChannel, obs: int, n_max: int) -> Correla
     if rho.shape != (2, 2):
         raise ValueError("channel_decay_series is a single-qubit construction")
     sigma = linalg.PAULIS[obs]
-    plus, minus = linalg.dichotomic_projectors(sigma)
-    # signed conditional state after the first measurement
-    signed = plus @ rho @ plus - minus @ rho @ minus
+    # signed conditional state after the first measurement, P+ rho P+ - P- rho P- = (sigma rho + rho sigma)/2
+    signed = (sigma @ rho + rho @ sigma) / 2
     vals = []
     current = signed
     for k in range(n_max):

@@ -208,6 +208,16 @@ class TestChoi:
         for basis in PAULIS:
             assert_allclose(action(basis), apply(ch, basis), atol=1e-10)
 
+    def test_matches_the_definition_on_dimension_changing_maps(self):
+        # M = sum_ij E(|i><j|) (x) |i><j|, with E a random 2 -> 3 and 3 -> 2 map of Kraus rank 2
+        for d_in, d_out in ((2, 3), (3, 2)):
+            iso = linalg.haar_random_unitary(2 * d_out, d_in)[:, :d_in]
+            ch = KrausChannel([iso[:d_out], iso[d_out:]])
+            eye = np.eye(d_in)
+            want = sum(np.kron(apply(ch, np.outer(eye[i], eye[j])), np.outer(eye[i], eye[j]))
+                       for i in range(d_in) for j in range(d_in))
+            assert np.max(np.abs(choi_of_channel(ch).matrix - want)) <= 1e-14
+
     def test_random_roundtrips(self):
         for seed in range(20):
             ch = random_channel(2, 3, seed)

@@ -42,6 +42,30 @@ class TestTensor:
         assert np.max(np.abs(left - right)) < 1e-14
 
 
+def looped_partial_trace(m, dims, keep):
+    """Trace the factors not in ``keep`` one np.trace at a time, highest axis first."""
+    keep = sorted(keep)
+    n = len(dims)
+    t = m.reshape(tuple(dims) * 2)
+    traced = 0
+    for ax in range(n - 1, -1, -1):
+        if ax not in keep:
+            t = np.trace(t, axis1=ax, axis2=ax + n - traced)
+            traced += 1
+    d_keep = int(np.prod([dims[k] for k in keep]))
+    return t.reshape(d_keep, d_keep)
+
+
+@st.composite
+def traced_matrices(draw):
+    """A random complex matrix over 1-4 factors of dimension 1-4, and a subset of factors to keep."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    keep = draw(st.lists(st.integers(0, len(dims) - 1), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = int(np.prod(dims))
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), dims, keep
+
+
 class TestPartialTrace:
     def test_bell_marginal(self):
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -72,6 +96,16 @@ class TestPartialTrace:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             linalg.partial_trace(np.eye(4, dtype=complex), (2, 2), keep=2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=traced_matrices())
+    def test_matches_the_factor_by_factor_trace(self, case):
+        m, dims, keep = case
+        assert np.max(np.abs(linalg.partial_trace(m, dims, keep) - looped_partial_trace(m, dims, keep))) <= 1e-12
+
+    def test_keeping_nothing_gives_the_trace(self):
+        m = linalg.random_density_matrix(6, 2)
+        assert_allclose(linalg.partial_trace(m, (2, 3), keep=()), [[1.0]], atol=1e-14)
 
 
 class TestPartialTranspose:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from spacetimeq import channels, cv_wigner, linalg, pdm
+from spacetimeq import channels, cv_wigner, histories, linalg, pdm
 from spacetimeq.channels import (KrausChannel, depolarizing, discard_and_prepare, identity_channel,
                                  random_channel, unitary_channel)
 from spacetimeq.linalg import I2, PAULIS, X, Y, Z, dag
@@ -86,6 +86,10 @@ class TestEventCorrelation:
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
             event_correlation(zero_process(), (3, 3, 3))
+
+    def test_matrix_observable_must_square_to_identity(self):
+        with pytest.raises(ValueError, match="square to the identity"):
+            event_correlation(zero_process(), (2 * Z, 3))
 
 
 def branch_event_correlation(proc, observables):
@@ -282,6 +286,64 @@ class TestClosedFormOracle:
         assert np.max(np.abs(build_pdm(proc).matrix - pauli_sum_pdm(proc))) <= 1e-12
 
 
+def kron_build_pdm(proc):
+    """The Jordan-product recurrence with both Kronecker products formed: R <- (1/2){R (x) 1, 1 (x) J(E)}."""
+    r = proc.initial.copy()
+    for ch in proc.steps:
+        d_in, d_out = ch.in_dim, ch.out_dim
+        j = channels.choi_of_channel(ch).matrix.reshape(d_out, d_in, d_out, d_in).transpose(3, 0, 1, 2)
+        left = np.kron(r, np.eye(d_out))
+        right = np.kron(np.eye(r.shape[0] // d_in), j.reshape(d_in * d_out, d_in * d_out))
+        r = (left @ right + right @ left) / 2
+    return r
+
+
+def kron_expectation(r, observables):
+    """Tr[(O_1 (x) ... (x) O_n) R] with the product operator formed."""
+    return float(np.real(np.trace(linalg.tensor(*observables) @ r.matrix)))
+
+
+class TestKronOracles:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=dichotomic_chains(min_events=2))
+    def test_build_pdm_matches_the_kron_recurrence(self, case):
+        proc, _ = case
+        assert np.max(np.abs(build_pdm(proc).matrix - kron_build_pdm(proc))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=dichotomic_chains(min_events=2))
+    def test_expectation_matches_the_full_product_operator(self, case):
+        proc, observables = case
+        r = build_pdm(proc)
+        assert abs(expectation_from_pdm(r, observables) - kron_expectation(r, observables)) <= 1e-12
+
+    def test_expectation_refuses_an_observable_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="not match"):
+            expectation_from_pdm(build_pdm(zero_process()), (np.eye(3), 1))
+        # the swapped pair has the right total size, but not the event dimensions (2, 4)
+        r = build_pdm(TemporalProcess(ZERO, [stinespring_channel(2, 4, 0, 8)]))
+        with pytest.raises(ValueError, match="not match"):
+            expectation_from_pdm(r, (np.diag([1.0, -1.0, 1.0, -1.0]), Z))
+
+    def test_readers_and_builder_form_no_kron(self, monkeypatch):
+        rho = linalg.random_density_matrix(2, 3)
+        proc = TemporalProcess(rho, [random_channel(2, 2, 4), stinespring_channel(2, 3, 1, 5)])
+        observables = [1, Z, np.diag([1.0, -1.0, 1.0])]
+        fam = histories.pauli_history_family(rho, [1, 3, 2], [linalg.haar_random_unitary(2, s) for s in (6, 7)])
+        want = event_correlation(proc, observables)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        r = build_pdm(proc)
+        assert abs(expectation_from_pdm(r, observables) - want) <= 1e-12
+        assert abs(event_correlation(proc, observables) - want) <= 1e-12
+        assert_allclose(marginal(r, 2), channels.apply(proc.steps[1], channels.apply(proc.steps[0], rho)), atol=1e-12)
+        histories.pdm_correlation_from_df(fam)
+        channels.choi_of_channel(proc.steps[1])
+
+
 class TestExpectation:
     def test_half_swap_xx(self):
         r = PDM(event_dims=(2, 2), matrix=SWAP / 2)
@@ -429,6 +491,13 @@ class TestPostselection:
                      lambda: postselected_correlation(ZERO, depolarizing(0.1), 3, 3, eta)):
             with pytest.raises(ValueError, match="one-qubit"):
                 call()
+
+    def test_state_or_channel_beyond_one_qubit_is_refused(self):
+        for rho, ch in ((np.eye(3) / 3, identity_channel(3)), (ZERO, stinespring_channel(2, 3, 0, 35))):
+            with pytest.raises(ValueError, match="one-qubit state and a one-qubit channel"):
+                postselected_correlation(rho, ch, 1, 1, I2)
+            with pytest.raises(ValueError, match="one-qubit state and a one-qubit channel"):
+                build_postselected_pdm(rho, ch, I2)
 
 
 class TestCtc:
