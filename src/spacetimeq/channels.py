@@ -34,7 +34,7 @@ from spacetimeq.linalg import I2, X, Y, Z, dag
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map represented by a list of Kraus operators (out_dim x in_dim)."""
+    """CPTP map represented by a list of Kraus operators (out_dim x in_dim), complete within 1e-8."""
 
     operators: tuple[np.ndarray, ...]
     in_dim: int = field(init=False)
@@ -44,7 +44,7 @@ class KrausChannel:
         init=False, repr=False, compare=False
     )
 
-    def __init__(self, operators, atol: float = 1e-8):
+    def __init__(self, operators):
         ops = tuple(np.asarray(k, dtype=complex) for k in operators)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -61,7 +61,7 @@ class KrausChannel:
                 dst, src, left, right = superop
                 on_diagonal = dst % (out_dim + 1) == 0
                 total = _scatter(src[on_diagonal], left[on_diagonal] * right[on_diagonal], in_dim).T
-        if not linalg.within(total, np.eye(in_dim), atol):
+        if not linalg.within(total, np.eye(in_dim), 1e-8):
             raise ValueError("Kraus operators do not sum to the identity (not CPTP)")
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "in_dim", in_dim)
@@ -130,7 +130,7 @@ def identity_channel(d: int = 2) -> KrausChannel:
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     u = np.asarray(u, dtype=complex)
-    if not linalg.is_unitary(u, 1e-8):
+    if not linalg.is_unitary(u):
         raise ValueError("matrix is not unitary")
     return KrausChannel([u])
 
@@ -228,7 +228,10 @@ def choi_of_channel(ch: KrausChannel) -> ChoiOperator:
 
 
 def channel_of_choi(c: ChoiOperator):
-    """Return the map action X -> Tr_in[(I (x) X^T) M] as a callable."""
+    """Return the map action X -> Tr_in[(I (x) X^T) M] as a callable.
+
+    Contracted in one step, E(X)[a, b] = sum_{ij} M[(a, i), (b, j)] X[i, j].
+    """
     d1, d0 = c.dims
     m = np.asarray(c.matrix, dtype=complex)
 
@@ -236,21 +239,20 @@ def channel_of_choi(c: ChoiOperator):
         x = np.asarray(x, dtype=complex)
         if x.shape != (d0, d0):
             raise ValueError(f"operator shape {x.shape} does not match input dim {d0}")
-        full = np.kron(np.eye(d1, dtype=complex), x.T) @ m
-        return linalg.partial_trace(full, (d1, d0), keep=0)
+        return np.einsum("aibj,ij->ab", m.reshape(d1, d0, d1, d0), x)
 
     return action
 
 
-def check_choi(c: ChoiOperator, atol: float = 1e-8) -> ChoiFlags:
-    """Report trace preservation, Hermiticity preservation and complete positivity."""
+def check_choi(c: ChoiOperator) -> ChoiFlags:
+    """Report trace preservation, Hermiticity preservation and complete positivity, each within 1e-8."""
     d1, d0 = c.dims
     m = np.asarray(c.matrix, dtype=complex)
     marg = linalg.partial_trace(m, (d1, d0), keep=1)
-    tp = linalg.within(marg, np.eye(d0), atol)
-    hp = linalg.is_hermitian(m, atol=atol)
+    tp = linalg.within(marg, np.eye(d0), 1e-8)
+    hp = linalg.is_hermitian(m, atol=1e-8)
     if hp:
-        cp = bool(np.linalg.eigvalsh(m).min() >= -atol)
+        cp = bool(np.linalg.eigvalsh(m).min() >= -1e-8)
     else:
         cp = False
     return ChoiFlags(tp=tp, hermitian_preserving=hp, cp=cp)

@@ -91,21 +91,22 @@ def two_mode_squeezed(r: float) -> GaussianState:
     return GaussianState(np.zeros(4), cov)
 
 
-def uncertainty_ok(cov: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when sigma + i Omega >= 0 (up to -tol on the lowest eigenvalue)."""
+def uncertainty_ok(cov: np.ndarray) -> bool:
+    """True when sigma + i Omega >= 0 (up to -1e-9 on the lowest eigenvalue)."""
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
         raise ValueError("covariance must be square with even dimension")
     omega = symplectic_form(cov.shape[0] // 2)
     m = cov + 1j * omega
-    return bool(np.linalg.eigvalsh(m).min() >= -tol)
+    return bool(np.linalg.eigvalsh(m).min() >= -1e-9)
 
 
-def is_symplectic(s: np.ndarray, atol: float = 1e-9) -> bool:
+def is_symplectic(s: np.ndarray) -> bool:
+    """S Omega S^T = Omega within 1e-9."""
     s = np.asarray(s, dtype=float)
     n = s.shape[0] // 2
     omega = symplectic_form(n)
-    return linalg.within(s @ omega @ s.T, omega, atol)
+    return linalg.within(s @ omega @ s.T, omega, 1e-9)
 
 
 def rotation_symplectic(theta: float) -> np.ndarray:
@@ -166,10 +167,9 @@ def extrapolated_temporal_correlation(
     step: np.ndarray,
     first: str,
     second: str,
-    resolutions=(1e2, 1e3, 1e4),
 ) -> float:
-    """Sharp-measurement limit via Richardson extrapolation in 1/resolution."""
-    rs = sorted(resolutions)
+    """Sharp-measurement limit via Richardson extrapolation in 1/resolution, from 1e2, 1e3 and 1e4."""
+    rs = (1e2, 1e3, 1e4)
     hs = np.array([1.0 / r for r in rs])
     vals = np.array(
         [

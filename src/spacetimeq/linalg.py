@@ -4,7 +4,9 @@ Conventions used across the package:
 
 * operators are complex numpy arrays in row-major order;
 * subsystem index 0 is the leftmost tensor factor;
-* tolerances default to 1e-10 and are keyword-configurable;
+* each check fixes its own tolerance; only the closeness primitives take one:
+  ``within``, ``is_unitary`` and ``is_hermitian`` below, and
+  ``histories.is_consistent`` and ``timecrystal.flips_basis_state``;
 * ``margin``, ``within`` and ``is_unitary`` are the one closeness rule: a
   tolerance check is max |a - b| <= atol, and a NaN or infinite entry fails it.
 
@@ -137,12 +139,12 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
     return within(m, dag(m), atol)
 
 
-def hermitian_eigenvalues(m: np.ndarray, atol: float = ATOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix.
 
-    Raises ValueError when the input is not Hermitian within ``atol``.
+    Raises ValueError when the input is not Hermitian within ``ATOL`` = 1e-10.
     """
-    if not is_hermitian(m, atol=atol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.sort(np.linalg.eigvalsh(m))
 

@@ -26,22 +26,22 @@ class OtocSpec:
     rho: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        if not linalg.is_unitary(u):
+        for name in ("v", "w", "u", "rho"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
+        if not linalg.is_unitary(self.u):
             raise ValueError("u must be unitary")
-        rho = np.asarray(self.rho, dtype=complex)
-        if abs(np.trace(rho) - 1.0) > 1e-8:
+        if any(m.shape != self.u.shape for m in (self.v, self.w, self.rho)):
+            raise ValueError(f"V, W and rho must have the shape {self.u.shape} of U, got shapes "
+                             f"{self.v.shape}, {self.w.shape} and {self.rho.shape}")
+        if abs(np.trace(self.rho) - 1.0) > 1e-8:
             raise ValueError("rho must have unit trace")
 
 
 def otoc_direct(spec: OtocSpec) -> complex:
     """Tr[rho V U^dag W U V^dag U^dag W^dag U]."""
-    v = np.asarray(spec.v, dtype=complex)
-    w = np.asarray(spec.w, dtype=complex)
-    u = np.asarray(spec.u, dtype=complex)
-    rho = np.asarray(spec.rho, dtype=complex)
-    wt = dag(u) @ w @ u
-    return complex(np.trace(rho @ v @ wt @ dag(v) @ dag(wt)))
+    v, u = spec.v, spec.u
+    wt = dag(u) @ spec.w @ u
+    return complex(np.trace(spec.rho @ v @ wt @ dag(v) @ dag(wt)))
 
 
 def otoc_via_pdm(a: np.ndarray, b: np.ndarray, u: np.ndarray, rho: np.ndarray) -> complex:
@@ -165,7 +165,7 @@ def harmonic_pi_correlation(omega: float, tau: float) -> float:
     return 1.0 / (2.0 * omega * np.tanh(omega * tau / 2.0))
 
 
-def harmonic_kernel_moment(m: float, omega: float, tau: float, quad_limit: float | None = None) -> float:
+def harmonic_kernel_moment(m: float, omega: float, tau: float) -> float:
     """Numerical integral q1 q2 |<q2|U|q1>|^2 dq1 dq2 for the Euclidean kernel.
 
     The squared kernel is an unnormalized Gaussian of finite total mass
@@ -184,9 +184,8 @@ def harmonic_kernel_moment(m: float, omega: float, tau: float, quad_limit: float
         expo = -(m * omega / s) * ((q1 * q1 + q2 * q2) * c - 2.0 * q1 * q2)
         return q1 * q2 * pref * np.exp(expo)
 
-    if quad_limit is None:
-        # scale of the Gaussian: variances ~ s / (2 m omega (c - 1)) at worst
-        quad_limit = 12.0 * np.sqrt(s / (m * omega * max(c - 1.0, 1e-12)) + 1.0)
+    # scale of the Gaussian: variances ~ s / (2 m omega (c - 1)) at worst
+    quad_limit = 12.0 * np.sqrt(s / (m * omega * max(c - 1.0, 1e-12)) + 1.0)
     val, _ = integrate.dblquad(
         integrand, -quad_limit, quad_limit, -quad_limit, quad_limit,
         epsabs=1e-12, epsrel=1e-10,

@@ -182,14 +182,11 @@ def marginal(r: PDM, event: int) -> np.ndarray:
 def causality_monotone(r: PDM) -> float:
     """Trace norm minus one, clamped at zero.
 
+    R is Hermitian, so its trace norm is the sum of its absolute eigenvalues.
     Vanishes exactly on positive semi-definite pseudo-density matrices and
     equals 1 for a closed single-qubit system at two times.
     """
-    return max(0.0, trace_norm_minus_one(r.matrix))
-
-
-def trace_norm_minus_one(m: np.ndarray) -> float:
-    return float(linalg.trace_norm(m) - 1.0)
+    return max(0.0, float(np.abs(np.linalg.eigvalsh(r.matrix)).sum() - 1.0))
 
 
 # -- bipartite correlation geometry -----------------------------------------
@@ -228,20 +225,20 @@ def tetrahedron_point(proc: TemporalProcess) -> CorrelationTriple:
     return CorrelationTriple(*vals)
 
 
-def in_hull(point: np.ndarray, vertices: np.ndarray, slack: float = 1e-9) -> bool:
-    """Barycentric-coordinate membership test for a simplex."""
+def in_hull(point: np.ndarray, vertices: np.ndarray) -> bool:
+    """Barycentric-coordinate membership test for a simplex, with 1e-9 of slack."""
     v0 = vertices[0]
     basis = (vertices[1:] - v0).T  # 3x3
     coeff = np.linalg.solve(basis, np.asarray(point, dtype=float) - v0)
     bary = np.concatenate([[1.0 - coeff.sum()], coeff])
-    return bool(np.all(bary >= -slack))
+    return bool(np.all(bary >= -1e-9))
 
 
-def classify(point: CorrelationTriple, slack: float = 1e-9) -> TetraMembership:
+def classify(point: CorrelationTriple) -> TetraMembership:
     p = point.as_array()
     return TetraMembership(
-        in_spatial=in_hull(p, SPATIAL_TETRA, slack),
-        in_temporal=in_hull(p, TEMPORAL_TETRA, slack),
+        in_spatial=in_hull(p, SPATIAL_TETRA),
+        in_temporal=in_hull(p, TEMPORAL_TETRA),
     )
 
 

@@ -89,17 +89,17 @@ def lv_project(w: ProcessMatrix) -> ProcessMatrix:
     return ProcessMatrix(w=acc, dims=w.dims)
 
 
-def is_valid_process(w: ProcessMatrix, tol: float = 1e-8) -> ProcessValidity:
-    """Check positivity, trace normalization, and the projector fixed point."""
+def is_valid_process(w: ProcessMatrix) -> ProcessValidity:
+    """Check positivity, trace normalization, and the projector fixed point, each within 1e-8."""
     eigs = np.linalg.eigvalsh(w.w)
     trace = float(np.real(np.trace(w.w)))
     expected_trace = w.dims[1] * w.dims[3]  # d_{A_O} d_{B_O}, past/future trivial
     projected = lv_project(w).w
     residual = linalg.margin(projected, w.w)
     return ProcessValidity(
-        psd=bool(eigs.min() >= -max(tol, 1e-9)),
-        trace_ok=bool(abs(trace - expected_trace) <= tol * max(1.0, expected_trace)),
-        projector_fixed=bool(residual <= tol),
+        psd=bool(eigs.min() >= -1e-8),
+        trace_ok=bool(abs(trace - expected_trace) <= 1e-8 * max(1.0, expected_trace)),
+        projector_fixed=bool(residual <= 1e-8),
         min_eigenvalue=float(eigs.min()),
         trace=trace,
         projector_residual=residual,
@@ -109,13 +109,13 @@ def is_valid_process(w: ProcessMatrix, tol: float = 1e-8) -> ProcessValidity:
 # -- local operations ---------------------------------------------------------
 
 
-def maxent_choi(u: np.ndarray | None = None, d: int = 2) -> np.ndarray:
-    """[[U]] = sum_{ij} |i><j| (x) U|i><j|U^dag = vec(U^T) vec(U^T)^dag, vec = ravel; U = 1_d if None.
+def maxent_choi(u: np.ndarray | None = None) -> np.ndarray:
+    """[[U]] = sum_{ij} |i><j| (x) U|i><j|U^dag = vec(U^T) vec(U^T)^dag, vec = ravel; U = 1_2 if None.
 
     The input-first Choi matrix of U: the factor swap of ``channels.choi_of_channel``, the
     package's one Choi builder, on ``channels.unitary_channel(U)``.
     """
-    v = (np.eye(d, dtype=complex) if u is None else np.asarray(u, dtype=complex)).T.ravel()
+    v = (np.eye(2, dtype=complex) if u is None else np.asarray(u, dtype=complex)).T.ravel()
     return np.outer(v, v.conj())
 
 
@@ -163,11 +163,11 @@ def probability_table(w: ProcessMatrix, a: Instrument, b: Instrument) -> dict:
     return table
 
 
-def _check_normalized(p: dict, tol: float = 1e-8):
+def _check_normalized(p: dict):
     pairs = sorted({(x, y) for (_, _, x, y) in p})
     for x, y in pairs:
         total = sum(v for (a, b, xx, yy), v in p.items() if (xx, yy) == (x, y))
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > 1e-8:
             raise ValueError(f"probability table not normalized at inputs {(x, y)}")
 
 
@@ -219,14 +219,12 @@ def violating_operations() -> Instrument:
     return Instrument(cj_ops=ops)
 
 
-def identity_process(u: np.ndarray | None = None, rho: np.ndarray | None = None) -> ProcessMatrix:
-    """Causally ordered process: state rho into A, channel U from A_O to B_I.
+def identity_process(u: np.ndarray | None = None) -> ProcessMatrix:
+    """Causally ordered qubit process: the maximally mixed state into A, channel U from A_O to B_I.
 
-    W = rho^{A_I} (x) [[U]]^{A_O B_I} (x) 1^{B_O}.
+    W = (1/2)^{A_I} (x) [[U]]^{A_O B_I} (x) 1^{B_O}, with U = 1 when omitted.
     """
-    if rho is None:
-        rho = I2 / 2.0
-    return ProcessMatrix(w=linalg.tensor(np.asarray(rho, dtype=complex), maxent_choi(u), I2))
+    return ProcessMatrix(w=linalg.tensor(I2 / 2.0, maxent_choi(u), I2))
 
 
 def pauli_measure_forward_instrument(i: int) -> Instrument:

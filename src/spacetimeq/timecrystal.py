@@ -25,25 +25,20 @@ from spacetimeq.channels import KrausChannel, apply
 from spacetimeq.linalg import I2, X
 
 
-@dataclass(frozen=True)
-class CorrelationSeries:
-    """Correlation values indexed by the time label N = 1, 2, ..."""
+class CorrelationSeries(tuple):
+    """Correlation values indexed by the time label N = 1, 2, ..., each at most 1 in magnitude."""
 
-    values: tuple[float, ...]
-    label: str = ""
+    __slots__ = ()
 
-    def __init__(self, values, label: str = ""):
+    def __new__(cls, values):
         vals = tuple(float(v) for v in values)
         if any(abs(v) > 1.0 + 1e-9 for v in vals):
             raise ValueError("temporal correlations cannot exceed 1 in magnitude")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "label", label)
+        return super().__new__(cls, vals)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> float:
-        return self.values[n]
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self)
 
 
 def channel_decay_series(rho, ch: KrausChannel, obs: int, n_max: int) -> CorrelationSeries:
@@ -64,7 +59,7 @@ def channel_decay_series(rho, ch: KrausChannel, obs: int, n_max: int) -> Correla
         if k:
             current = apply(ch, current)
         vals.append(float(np.real(np.trace(sigma @ current))))
-    return CorrelationSeries(vals, label=f"obs={obs}")
+    return CorrelationSeries(vals)
 
 
 def kraus_contraction_factor(ch: KrausChannel) -> float:
@@ -74,22 +69,20 @@ def kraus_contraction_factor(ch: KrausChannel) -> float:
     )
 
 
-def general_decay_bound_check(ch: KrausChannel, n: int, obs: int = 1, rho=None) -> bool:
-    """Check |X-correlation after n rounds| <= gamma^{2n} for a contracting channel.
+def general_decay_bound_check(ch: KrausChannel, n: int) -> bool:
+    """Check |<X(1), X(n+1)>| <= gamma^{2n} on the maximally mixed qubit for a contracting channel.
 
     gamma is the largest Kraus operator norm and must be strictly below 1
     (a genuinely decohering channel), otherwise ValueError is raised. The
-    bound concerns the transverse (default X) correlation; a dephasing
-    channel keeps its Z correlation at 1 forever, which is the known
-    loophole of the statement rather than a violation of it.
+    bound concerns the transverse X correlation; a dephasing channel keeps
+    its Z correlation at 1 forever, which is the known loophole of the
+    statement rather than a violation of it.
     """
     gamma = kraus_contraction_factor(ch)
     if gamma >= 1.0 - 1e-12:
         raise ValueError(f"channel is not strictly contracting (gamma={gamma})")
-    if rho is None:
-        rho = I2 / 2.0
     bound = gamma ** (2 * n) + 1e-10
-    series = channel_decay_series(rho, ch, obs, n + 1)
+    series = channel_decay_series(I2 / 2.0, ch, 1, n + 1)
     return bool(abs(series[n]) <= bound)
 
 
@@ -109,15 +102,14 @@ def symmetrization_series(p: float, n_max: int) -> CorrelationSeries:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    return CorrelationSeries(_symmetrized(1.0 - p, (1.0 - p) ** 2, n_max), label=f"symmetrization p={p}")
+    return CorrelationSeries(_symmetrized(1.0 - p, (1.0 - p) ** 2, n_max))
 
 
 def dephasing_symmetrization_series(lam: float, n_max: int) -> CorrelationSeries:
     """Dephasing analog, b_{n+1} = 4 b_n sqrt(1-lam) / (3 + b_n^2 (1-lam))."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
-    return CorrelationSeries(_symmetrized(np.sqrt(1.0 - lam), 1.0 - lam, n_max),
-                             label=f"symmetrization lambda={lam}")
+    return CorrelationSeries(_symmetrized(np.sqrt(1.0 - lam), 1.0 - lam, n_max))
 
 
 def _symmetrized(c: float, c2: float, n_max: int) -> list:
@@ -168,7 +160,7 @@ def symmetrization_bruteforce_series(ch: KrausChannel, n_max: int) -> Correlatio
                 state = _symmetrize_pair(apply(ch, state))
             total += weight * sign * np.real(np.trace(X @ state))
         vals.append(total)
-    return CorrelationSeries(vals, label="bruteforce symmetrization")
+    return CorrelationSeries(vals)
 
 
 # -- phase flip code -----------------------------------------------------------
@@ -193,10 +185,7 @@ def phase_flip_code_series(p: float, n_max: int) -> tuple[CorrelationSeries, Cor
     q = phase_flip_round_probability(p)
     xx = [1.0] * n_max
     zz = [(1.0 - 2.0 * q) ** k for k in range(n_max)]
-    return (
-        CorrelationSeries(xx, label=f"phase-flip XX p={p}"),
-        CorrelationSeries(zz, label=f"phase-flip ZZ p={p}"),
-    )
+    return CorrelationSeries(xx), CorrelationSeries(zz)
 
 
 def phase_flip_first_order(p: float, n_rounds: int) -> float:
@@ -354,7 +343,7 @@ def floquet_correlation_series(
     for _ in range(n_periods):
         psi = _floquet_step(psi, kick, phases, v)
         vals.append(float(weights @ (psi.real**2 + psi.imag**2)))
-    return CorrelationSeries(vals, label=f"floquet site={site}")
+    return CorrelationSeries(vals)
 
 
 def floquet_correlation_at(spec: FloquetChainSpec, site: int, n_periods: int, signs=None) -> float:
@@ -399,9 +388,7 @@ def subharmonic_peak(series: CorrelationSeries | list | tuple) -> SubharmonicPea
     sample so the grid carries an exact Nyquist bin; a locked alternation
     then lands on it and never counts as split.
     """
-    vals = np.asarray(
-        series.values if isinstance(series, CorrelationSeries) else series, dtype=float
-    )
+    vals = np.asarray(series, dtype=float)
     if vals.size < MIN_SPECTRAL_SAMPLES:
         raise ValueError(f"need at least {MIN_SPECTRAL_SAMPLES} samples for the spectral diagnostic")
     if vals.size % 2 == 1:
@@ -421,9 +408,7 @@ def subharmonic_peak(series: CorrelationSeries | list | tuple) -> SubharmonicPea
 
 def long_range_order_in_time(series, window: int, threshold: float) -> bool:
     """True when min |value| over the trailing window stays >= threshold."""
-    vals = np.asarray(
-        series.values if isinstance(series, CorrelationSeries) else series, dtype=float
-    )
+    vals = np.asarray(series, dtype=float)
     if window > vals.size:
         raise ValueError("window longer than the series")
     return bool(np.min(np.abs(vals[-window:])) >= threshold)

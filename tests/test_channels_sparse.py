@@ -144,6 +144,6 @@ def test_phase_space_channels_are_exact(name):
 def test_cache_stays_out_of_repr_equality_and_signature():
     ch = channels.dephasing(0.3)
     assert "_superop" not in repr(ch)
-    assert list(inspect.signature(KrausChannel).parameters) == ["operators", "atol"]
+    assert list(inspect.signature(KrausChannel).parameters) == ["operators"]
     (cache,) = [f for f in dataclasses.fields(KrausChannel) if f.name == "_superop"]
     assert not (cache.init or cache.repr or cache.compare)

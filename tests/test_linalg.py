@@ -1,3 +1,5 @@
+import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import spacetimeq
 from spacetimeq import linalg
 from spacetimeq.linalg import I2, PAULIS, X, Y, Z, dag
 
@@ -252,6 +255,30 @@ def test_closeness_checks_go_through_linalg():
                 if (path.name, line.strip()) in allowed:
                     assert lines[i - 1].strip().startswith("#"), f"{path.name}:{i + 1} lost its comment"
     assert found <= allowed, sorted(found - allowed)
+
+
+#: The public parameters named like a tolerance or a setting knob, each with the reason it is settable.
+SETTABLE_TOLERANCES = {
+    ("linalg", "within", "atol"): "the closeness rule itself; its callers pass many tolerances",
+    ("linalg", "is_unitary", "atol"): "a closeness primitive; tests pass 1e-8, 1e-4 and 1e300",
+    ("linalg", "is_hermitian", "atol"): "a closeness primitive; the library passes 1e-8 and keeps 1e-10",
+    ("histories", "is_consistent", "tol"): "tests compare it at 1e-8 and 1e-10 against the pairwise oracle",
+    ("timecrystal", "flips_basis_state", "atol"): "a test sets 1e300 to show that a NaN is refused",
+}
+
+
+def test_only_the_closeness_primitives_take_a_tolerance():
+    """Every other check fixes its tolerance as a literal at its one use."""
+    knobs = {"atol", "tol", "slack", "quad_limit", "resolutions", "label"}
+    found = set()
+    for module_name in spacetimeq.__all__:
+        module = importlib.import_module(f"spacetimeq.{module_name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, Exception)):
+                found |= {(module_name, name, p) for p in inspect.signature(obj).parameters if p in knobs}
+    assert found == set(SETTABLE_TOLERANCES), sorted(found ^ set(SETTABLE_TOLERANCES))
 
 
 class TestHaar:

@@ -45,6 +45,16 @@ class TestOtocDirect:
         with pytest.raises(ValueError, match="u must be unitary"):
             OtocSpec(v=X, w=Z, u=np.eye(2, 3, dtype=complex), rho=I2 / 2)
 
+    @pytest.mark.parametrize("operand", ["v", "w", "rho"])
+    def test_rejects_an_operand_of_another_shape_than_u(self, operand):
+        ops = {"v": X, "w": Z, "u": np.eye(2, dtype=complex), "rho": I2 / 2, operand: np.eye(3) / 3}
+        with pytest.raises(ValueError, match="must have the shape"):
+            OtocSpec(**ops)
+
+    def test_stores_complex_arrays(self):
+        spec = OtocSpec(v=[[0, 1], [1, 0]], w=Z, u=np.eye(2), rho=I2 / 2)
+        assert all(isinstance(m, np.ndarray) and m.dtype == complex for m in (spec.v, spec.w, spec.u, spec.rho))
+
 
 class TestOtocViaPdm:
     def test_identity_probe_reduces(self):

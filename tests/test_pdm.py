@@ -341,7 +341,8 @@ class TestKronOracles:
         assert abs(event_correlation(proc, observables) - want) <= 1e-12
         assert_allclose(marginal(r, 2), channels.apply(proc.steps[1], channels.apply(proc.steps[0], rho)), atol=1e-12)
         histories.pdm_correlation_from_df(fam)
-        channels.choi_of_channel(proc.steps[1])
+        action = channels.channel_of_choi(channels.choi_of_channel(proc.steps[1]))
+        assert_allclose(action(rho), channels.apply(proc.steps[1], rho), atol=1e-12)
 
 
 class TestExpectation:
@@ -412,6 +413,12 @@ class TestCausalityMonotone:
             )
             rotated = PDM(event_dims=(2, 2), matrix=u @ r.matrix @ dag(u))
             assert abs(causality_monotone(rotated) - causality_monotone(r)) < 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=dichotomic_chains(min_events=2))
+    def test_matches_the_singular_value_trace_norm(self, case):
+        r = build_pdm(case[0])
+        assert abs(causality_monotone(r) - max(0.0, linalg.trace_norm(r.matrix) - 1.0)) <= 1e-12
 
 
 class TestTetrahedron:
