@@ -98,10 +98,16 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     return np.sum(a * b.T)
 
 
-def _spacetime_wigner_complex(rho, ch: KrausChannel, alpha, beta, n_max: int) -> complex:
+def _mode_state(rho, n_max: int) -> np.ndarray:
+    """``rho`` as a complex array, once it is n_max x n_max."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n_max, n_max):
         raise ValueError("state dimension does not match n_max")
+    return rho
+
+
+def _spacetime_wigner_complex(rho, ch: KrausChannel, alpha, beta, n_max: int) -> complex:
+    rho = _mode_state(rho, n_max)
     u_alpha = _parity_unitary(alpha, n_max)
     signed = apply(ch, (u_alpha @ rho + rho @ u_alpha) / 2.0)
     return 4.0 * _trace_product(_parity_unitary(beta, n_max), signed)
@@ -203,7 +209,7 @@ def wigner_normalization_check(
     radius^2 stays a few standard deviations below n_max; beyond that the
     truncated displacement pollutes the readout operator.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _mode_state(rho, n_max)
     s = _grid_parity_sum(radius, points, n_max)
     value = 4.0 * _trace_product(s, apply(ch, (s @ rho + rho @ s) / 2.0))
     return float(np.real(value))

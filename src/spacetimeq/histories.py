@@ -38,13 +38,11 @@ class HistoryFamily:
     unitaries: tuple[np.ndarray, ...]
 
     def __init__(self, initial, projector_sets, unitaries=()):
-        rho = np.asarray(initial, dtype=complex)
+        rho = linalg.checked_initial_state(initial)
         sets = tuple(tuple(np.asarray(p, dtype=complex) for p in s) for s in projector_sets)
         us = tuple(np.asarray(u, dtype=complex) for u in unitaries)
         if len(us) != len(sets) - 1:
             raise ValueError("need one unitary per gap between successive times")
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"the initial state must be a square matrix, got shape {rho.shape}")
         d = rho.shape[0]
         for t, group in enumerate(sets):
             if any(p.shape != (d, d) for p in group):
@@ -186,7 +184,7 @@ def pauli_history_family(initial, pauli_indices, unitaries) -> HistoryFamily:
     """Family whose projector pair at each time is (1 +/- sigma)/2."""
     sets = []
     for idx in pauli_indices:
-        plus, minus = linalg.dichotomic_projectors(linalg.PAULIS[idx])
+        plus, minus = linalg.dichotomic_projectors(linalg.pauli_string_matrix([idx]))
         sets.append((plus, minus))
     return HistoryFamily(initial, sets, unitaries)
 

@@ -202,6 +202,23 @@ def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return tensor(*ops)
 
 
+def checked_initial_state(rho) -> np.ndarray:
+    """``rho`` as a complex array, once it is a square, unit-trace, Hermitian, positive semi-definite matrix.
+
+    Each check holds within 1e-8.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("initial state must be a square matrix")
+    if abs(np.trace(rho) - 1.0) > 1e-8:
+        raise ValueError("initial state must have unit trace")
+    if not is_hermitian(rho, atol=1e-8):
+        raise ValueError("initial state must be Hermitian")
+    if np.linalg.eigvalsh(rho).min() < -1e-8:
+        raise ValueError("initial state must be positive semi-definite")
+    return rho
+
+
 def require_involution(obs: np.ndarray) -> None:
     """Raise ValueError unless O^2 = 1 within 1e-8, as a +/-1-valued observable must."""
     with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN, which within() refuses

@@ -32,15 +32,7 @@ class TemporalProcess:
     steps: tuple[KrausChannel, ...]
 
     def __init__(self, initial, steps=()):
-        rho = np.asarray(initial, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("initial state must be a square matrix")
-        if abs(np.trace(rho) - 1.0) > 1e-8:
-            raise ValueError("initial state must have unit trace")
-        if not linalg.is_hermitian(rho, atol=1e-8):
-            raise ValueError("initial state must be Hermitian")
-        if np.linalg.eigvalsh(rho).min() < -1e-8:
-            raise ValueError("initial state must be positive semi-definite")
+        rho = linalg.checked_initial_state(initial)
         steps = tuple(steps)
         d = rho.shape[0]
         for ch in steps:
@@ -86,7 +78,7 @@ def _event_observable(spec, dim: int) -> np.ndarray:
     if np.isscalar(spec):
         if dim != 2:
             raise ValueError("a single Pauli index needs a one-qubit event")
-        return linalg.PAULIS[int(spec)]
+        return linalg.pauli_string_matrix([int(spec)])
     arr = np.asarray(spec)
     m = linalg.pauli_string_matrix(arr.tolist()) if arr.ndim == 1 else np.asarray(spec, dtype=complex)
     if m.shape != (dim, dim):
@@ -256,8 +248,8 @@ def _postselected_branch_probs(rho, ch: KrausChannel, i: int, j: int, eta):
             f"postselection needs a one-qubit state and a one-qubit channel, got state shape {rho.shape} "
             f"and a {ch.in_dim} -> {ch.out_dim} channel"
         )
-    pi_plus, pi_minus = linalg.dichotomic_projectors(linalg.PAULIS[i])
-    pj_plus, pj_minus = linalg.dichotomic_projectors(linalg.PAULIS[j])
+    pi_plus, pi_minus = linalg.dichotomic_projectors(linalg.pauli_string_matrix([i]))
+    pj_plus, pj_minus = linalg.dichotomic_projectors(linalg.pauli_string_matrix([j]))
     eta = np.asarray(eta, dtype=complex)
     if eta.shape != (2, 2):
         raise ValueError(f"eta must be a 2 x 2 one-qubit operator, got shape {eta.shape}")

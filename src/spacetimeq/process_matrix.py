@@ -4,7 +4,9 @@ A bipartite process matrix W lives on A_I (x) A_O (x) B_I (x) B_O (global
 past and future trivial). Local operations enter as Choi matrices with the
 input factor first, C(M) = sum_{ij} |i><j| (x) M(|i><j|), and correlations
 read p(a,b|x,y) = Tr[W^T (A_{a|x} (x) B_{b|y})] with the transpose taken
-over all four factors.
+over all four factors. A probability table is the float array p[a, b, x, y],
+and an instrument holds its Choi matrices as ops[a, x]; outcomes a, b and
+inputs x, y are indexed from 0.
 
 Validity requires W >= 0, Tr W = d_{A_O} d_{B_O}, and L_V(W) = W for the
 projector onto the valid subspace, in closed form as seven signed
@@ -121,70 +123,55 @@ def maxent_choi(u: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Instrument:
-    """Outcome-indexed CP maps per classical input, as input-first Choi matrices."""
+    """CP maps A_{a|x} as input-first Choi matrices ``ops[a, x]`` on X_I (x) X_O.
 
-    cj_ops: dict  # (outcome, input) -> matrix on X_I (x) X_O
+    ``ops`` is shaped (outcomes, inputs, d_in d_out, d_in d_out); a branch that an input never
+    produces is a zero matrix.
+    """
+
+    ops: np.ndarray
     dims: tuple[int, int] = (2, 2)
 
-    def outcomes(self, x: int):
-        return sorted(a for (a, xx) in self.cj_ops if xx == x)
-
-    def inputs(self):
-        return sorted({xx for (_, xx) in self.cj_ops})
+    def __post_init__(self):
+        ops = np.asarray(self.ops, dtype=complex)
+        d = self.dims[0] * self.dims[1]
+        if ops.ndim != 4 or ops.shape[2:] != (d, d):
+            raise ValueError(f"instrument operators must be shaped (outcomes, inputs, {d}, {d}), "
+                             f"got {ops.shape}")
+        object.__setattr__(self, "ops", ops)
 
     def completeness_defect(self, x: int) -> float:
         """Max deviation of sum_a Tr_out A_{a|x} from the identity on the input."""
-        d_in, d_out = self.dims
-        total = sum(np.asarray(self.cj_ops[(a, x)], dtype=complex) for a in self.outcomes(x))
-        marg = linalg.partial_trace(total, (d_in, d_out), keep=0)
-        return linalg.margin(marg, np.eye(d_in))
+        marg = linalg.partial_trace(self.ops[:, x].sum(axis=0), self.dims, keep=0)
+        return linalg.margin(marg, np.eye(self.dims[0]))
 
 
-def process_correlation(
-    w: ProcessMatrix, a: Instrument, b: Instrument, x: int, y: int, a_out: int, b_out: int
-) -> float:
-    """p(a,b|x,y) = Tr[W^T (A_{a|x} (x) B_{b|y})]."""
-    op_a = np.asarray(a.cj_ops[(a_out, x)], dtype=complex)
-    op_b = np.asarray(b.cj_ops[(b_out, y)], dtype=complex)
-    joint = linalg.tensor(op_a, op_b)
-    if joint.shape != w.w.shape:
+def probability_table(w: ProcessMatrix, a: Instrument, b: Instrument) -> np.ndarray:
+    """The table p[a, b, x, y] = Tr[W^T (A_{a|x} (x) B_{b|y})] over both parties' outcomes and inputs."""
+    d_a, d_b = w.dims[0] * w.dims[1], w.dims[2] * w.dims[3]
+    if a.ops.shape[2] != d_a or b.ops.shape[2] != d_b:
         raise ValueError("instrument dimensions do not match the process matrix")
-    return float(np.real(np.trace(w.w.T @ joint)))
+    return np.einsum("uvUV,axuU,byvV->abxy", w.w.reshape(d_a, d_b, d_a, d_b), a.ops, b.ops).real
 
 
-def probability_table(w: ProcessMatrix, a: Instrument, b: Instrument) -> dict:
-    """Full table {(a, b, x, y): p} over both parties' inputs and outcomes."""
-    table = {}
-    for x in a.inputs():
-        for y in b.inputs():
-            for ao in a.outcomes(x):
-                for bo in b.outcomes(y):
-                    table[(ao, bo, x, y)] = process_correlation(w, a, b, x, y, ao, bo)
-    return table
+def _checked_indices(p: np.ndarray) -> np.ndarray:
+    """The index grids a, b, x, y of table ``p``, once the entries of every input pair sum to 1."""
+    off = np.argwhere(np.abs(p.sum(axis=(0, 1)) - 1.0) > 1e-8)
+    if len(off):
+        raise ValueError(f"probability table not normalized at inputs {tuple(off[0].tolist())}")
+    return np.indices(p.shape)
 
 
-def _check_normalized(p: dict):
-    pairs = sorted({(x, y) for (_, _, x, y) in p})
-    for x, y in pairs:
-        total = sum(v for (a, b, xx, yy), v in p.items() if (xx, yy) == (x, y))
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"probability table not normalized at inputs {(x, y)}")
-
-
-def gyni_score(p: dict) -> float:
+def gyni_score(p: np.ndarray) -> float:
     """Guess-your-neighbour's-input success, (1/4) sum delta_{a,y} delta_{b,x} p."""
-    _check_normalized(p)
-    return 0.25 * sum(v for (a, b, x, y), v in p.items() if a == y and b == x)
+    a, b, x, y = _checked_indices(p)
+    return 0.25 * float(p[(a == y) & (b == x)].sum())
 
 
-def lgyni_score(p: dict) -> float:
+def lgyni_score(p: np.ndarray) -> float:
     """Lazy GYNI success, (1/4) sum [x(a+y)=0][y(b+x)=0] p (mod-2 sums)."""
-    _check_normalized(p)
-    return 0.25 * sum(
-        v
-        for (a, b, x, y), v in p.items()
-        if (x * ((a + y) % 2)) == 0 and (y * ((b + x) % 2)) == 0
-    )
+    a, b, x, y = _checked_indices(p)
+    return 0.25 * float(p[(x * ((a + y) % 2) == 0) & (y * ((b + x) % 2) == 0)].sum())
 
 
 # -- the causal-inequality-violating example ----------------------------------
@@ -210,13 +197,8 @@ def violating_operations() -> Instrument:
     Both instruments are trace-preserving per input.
     """
     p0, p1 = linalg.projector(KET0), linalg.projector(KET1)
-    ops = {
-        (0, 0): np.zeros((4, 4), dtype=complex),
-        (1, 0): maxent_choi(),
-        (0, 1): linalg.tensor(p0, p1),
-        (1, 1): linalg.tensor(p1, p0),
-    }
-    return Instrument(cj_ops=ops)
+    return Instrument(ops=[[np.zeros((4, 4)), linalg.tensor(p0, p1)],
+                           [maxent_choi(), linalg.tensor(p1, p0)]])
 
 
 def identity_process(u: np.ndarray | None = None) -> ProcessMatrix:
@@ -228,35 +210,27 @@ def identity_process(u: np.ndarray | None = None) -> ProcessMatrix:
 
 
 def pauli_measure_forward_instrument(i: int) -> Instrument:
-    """Measure sigma_i and forward the post-measurement eigenstate.
+    """Measure sigma_i and forward the post-measurement eigenstate; outcome 0 is +1, outcome 1 is -1.
 
     The Choi matrix of X -> P X P is P^T (x) P, so the transposed input leg
     is part of the operator; for X and Z projectors the transpose is
     invisible and the signed sum collapses to (1 (x) sigma + sigma (x) 1)/2,
     while Y keeps the extra transpose.
     """
-    plus, minus = linalg.dichotomic_projectors(linalg.PAULIS[i])
-    ops = {
-        (1, 0): linalg.tensor(plus.T, plus),
-        (-1, 0): linalg.tensor(minus.T, minus),
-    }
-    return Instrument(cj_ops=ops)
-
-
-def pauli_observable_cj(i: int) -> np.ndarray:
-    """Signed Choi observable sum_a a (P_i^a)^T (x) P_i^a of the Pauli event."""
-    inst = pauli_measure_forward_instrument(i)
-    return inst.cj_ops[(1, 0)] - inst.cj_ops[(-1, 0)]
+    plus, minus = linalg.dichotomic_projectors(linalg.pauli_string_matrix([i]))
+    return Instrument(ops=[[linalg.tensor(plus.T, plus)], [linalg.tensor(minus.T, minus)]])
 
 
 def pauli_pair_correlation(w: ProcessMatrix, i: int, j: int) -> float:
     """Signed outcome correlation of Pauli events at the two laboratories.
 
-    Equals Tr[W^T (Sigma_i (x) Sigma_j)] and, for a state-plus-unitary
-    process, reproduces (1/2) Tr[sigma_j U sigma_i U^dag].
+    The sum s p[:, :, 0, 0] s over the two Pauli instruments' table, s = (1, -1). It
+    equals Tr[W^T (Sigma_i (x) Sigma_j)] and, for a state-plus-unitary process,
+    reproduces (1/2) Tr[sigma_j U sigma_i U^dag].
     """
-    op = linalg.tensor(pauli_observable_cj(i), pauli_observable_cj(j))
-    return float(np.real(np.trace(w.w.T @ op)))
+    s = np.array([1.0, -1.0])
+    p = probability_table(w, pauli_measure_forward_instrument(i), pauli_measure_forward_instrument(j))
+    return float(s @ p[:, :, 0, 0] @ s)
 
 
 def gyni_demo() -> tuple[float, float]:
@@ -284,7 +258,7 @@ def ancilla_pdm(x: int, y: int) -> np.ndarray:
     )
 
 
-def ancilla_probability_table(w: ProcessMatrix, a: Instrument, b: Instrument) -> dict:
+def ancilla_probability_table(w: ProcessMatrix, a: Instrument, b: Instrument) -> np.ndarray:
     """``probability_table`` through the ancilla route: the inputs live in ancilla registers.
 
     Each party applies one fixed input-controlled instrument
@@ -292,14 +266,14 @@ def ancilla_probability_table(w: ProcessMatrix, a: Instrument, b: Instrument) ->
     ancilla preparation |x><x| selects the branch, so pairing the controlled
     instruments against ancilla (x) process reproduces the direct traces.
     """
-    table = {}
-    for i, x in enumerate(a.inputs()):
-        for j, y in enumerate(b.inputs()):
-            background = _expand_ancilla(_ancilla(a, i), _ancilla(b, j), w)
-            for ao in a.outcomes(x):
-                for bo in b.outcomes(y):
-                    joint = linalg.tensor(_controlled_op(a, ao), _controlled_op(b, bo))
-                    table[(ao, bo, x, y)] = float(np.real(np.trace(background.T @ joint)))
+    (k_a, m_a), (k_b, m_b) = a.ops.shape[:2], b.ops.shape[:2]
+    controlled_a, controlled_b = _controlled_ops(a), _controlled_ops(b)
+    table = np.empty((k_a, k_b, m_a, m_b))
+    for x, y in np.ndindex(m_a, m_b):
+        background_t = _expand_ancilla(_ancilla(m_a, x), _ancilla(m_b, y), w).T
+        for ao, op_a in enumerate(controlled_a):
+            for bo, op_b in enumerate(controlled_b):
+                table[ao, bo, x, y] = np.real(np.trace(background_t @ linalg.tensor(op_a, op_b)))
     return table
 
 
@@ -310,15 +284,16 @@ def pdm_gyni_demo() -> tuple[float, float]:
     return gyni_score(p), lgyni_score(p)
 
 
-def _ancilla(inst: Instrument, index: int) -> np.ndarray:
-    """|x><x| for the input at ``index`` of ``inst.inputs()``, on one ancilla level per input."""
-    return np.diag(np.eye(len(inst.inputs()))[index])
+def _ancilla(n_inputs: int, x: int) -> np.ndarray:
+    """|x><x| on one ancilla level per input."""
+    return np.diag(np.eye(n_inputs)[x])
 
 
-def _controlled_op(inst: Instrument, outcome: int) -> np.ndarray:
-    """hat A_a = sum_x |x><x| (x) A_{a|x} on ancilla (x) input (x) output."""
-    return sum(linalg.tensor(_ancilla(inst, i), inst.cj_ops[(outcome, x)])
-               for i, x in enumerate(inst.inputs()) if (outcome, x) in inst.cj_ops)
+def _controlled_ops(inst: Instrument) -> list:
+    """hat A_a = sum_x |x><x| (x) A_{a|x} on ancilla (x) input (x) output, one per outcome a."""
+    n_inputs = inst.ops.shape[1]
+    return [sum(linalg.tensor(_ancilla(n_inputs, x), op) for x, op in enumerate(per_input))
+            for per_input in inst.ops]
 
 
 def _expand_ancilla(anc_a: np.ndarray, anc_b: np.ndarray, w: ProcessMatrix) -> np.ndarray:
@@ -366,19 +341,14 @@ def enumerate_causal_vertices(m_a: int, m_b: int, k_a: int, k_b: int) -> list:
     return sorted(tables)
 
 
-def vertex_probability_table(vertex, m_a: int, m_b: int, k_a: int, k_b: int) -> dict:
-    """Deterministic strategy as a {(a, b, x, y): 0/1} probability table."""
-    table = {
-        (a, b, x, y): 0.0
-        for a in range(k_a)
-        for b in range(k_b)
-        for x in range(m_a)
-        for y in range(m_b)
-    }
-    idx = 0
-    for x in range(m_a):
-        for y in range(m_b):
-            a, b = vertex[idx]
-            idx += 1
-            table[(a, b, x, y)] = 1.0
+def vertex_probability_table(vertex, m_a: int, m_b: int, k_a: int, k_b: int) -> np.ndarray:
+    """Deterministic strategy as the 0/1 table p[a, b, x, y].
+
+    ``vertex`` lists the outcome pair (a, b) of each input pair (x, y), y varying fastest.
+    """
+    if len(vertex) != m_a * m_b:
+        raise ValueError(f"a vertex holds {m_a * m_b} outcome pairs, one per input pair, got {len(vertex)}")
+    table = np.zeros((k_a, k_b, m_a, m_b))
+    for (a, b), (x, y) in zip(vertex, itertools.product(range(m_a), range(m_b))):
+        table[a, b, x, y] = 1.0
     return table

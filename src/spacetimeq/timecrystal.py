@@ -50,7 +50,7 @@ def channel_decay_series(rho, ch: KrausChannel, obs: int, n_max: int) -> Correla
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError("channel_decay_series is a single-qubit construction")
-    sigma = linalg.PAULIS[obs]
+    sigma = linalg.pauli_string_matrix([obs])
     # signed conditional state after the first measurement, P+ rho P+ - P- rho P- = (sigma rho + rho sigma)/2
     signed = (sigma @ rho + rho @ sigma) / 2
     vals = []

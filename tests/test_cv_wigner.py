@@ -116,6 +116,10 @@ class TestNormalization:
         val = wigner_normalization_check(fock_vacuum(), fock_phase_damping(N_MAX))
         assert abs(val - 1.0) < 0.02
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="state dimension does not match n_max"):
+            wigner_normalization_check(fock_vacuum(10), channels.identity_channel(20), points=12, n_max=20)
+
 
 class TestCascadeMonteCarlo:
     def test_matches_exact_value(self):

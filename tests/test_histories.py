@@ -64,6 +64,17 @@ class TestFamilyValidation:
         with pytest.raises(ValueError, match="initial state must be a square matrix"):
             HistoryFamily(initial, [(EYE,)], ())
 
+    @pytest.mark.parametrize("make", [lambda rho: HistoryFamily(rho, [(EYE,)], ()), pdm.TemporalProcess],
+                             ids=["HistoryFamily", "TemporalProcess"])
+    @pytest.mark.parametrize("initial, message", [
+        (EYE, "unit trace"),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "Hermitian"),
+        (np.diag([1.5, -0.5]), "positive semi-definite"),
+    ], ids=["trace-2", "non-hermitian", "negative-eigenvalue"])
+    def test_rejects_a_state_that_is_not_a_density_matrix(self, make, initial, message):
+        with pytest.raises(ValueError, match=f"initial state must (have|be) {message}"):
+            make(initial)
+
 
 class TestDecoherenceFunctional:
     def test_eigenstate_history(self):

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import spacetimeq
-from spacetimeq import linalg
+from spacetimeq import channels, histories, linalg, pdm, process_matrix, timecrystal
 from spacetimeq.linalg import I2, PAULIS, X, Y, Z, dag
 
 
@@ -156,6 +156,30 @@ class TestEigenvalues:
         rho = linalg.random_density_matrix(6, 9)
         eigs = linalg.hermitian_eigenvalues(rho)
         assert abs(eigs.sum() - np.trace(rho).real) < 1e-10
+
+
+HALF = I2 / 2
+IDLE = channels.KrausChannel([I2])
+
+#: Each public entry point that takes a scalar Pauli index, called with index k.
+SCALAR_PAULI_INDEX_CALLS = {
+    "event_correlation": lambda k: pdm.event_correlation(pdm.TemporalProcess(HALF, [IDLE]), (k, k)),
+    "expectation_from_pdm": lambda k: pdm.expectation_from_pdm(
+        pdm.build_pdm(pdm.TemporalProcess(HALF, [IDLE])), (k, k)),
+    "postselected_correlation": lambda k: pdm.postselected_correlation(HALF, IDLE, k, k, I2),
+    "channel_decay_series": lambda k: timecrystal.channel_decay_series(HALF, IDLE, k, 3),
+    "pauli_history_family": lambda k: histories.pauli_history_family(HALF, [k], []),
+    "pauli_measure_forward_instrument": process_matrix.pauli_measure_forward_instrument,
+    "pauli_pair_correlation": lambda k: process_matrix.pauli_pair_correlation(
+        process_matrix.identity_process(), k, k),
+}
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+@pytest.mark.parametrize("name", sorted(SCALAR_PAULI_INDEX_CALLS))
+def test_a_scalar_pauli_index_out_of_range_is_refused(name, index):
+    with pytest.raises(ValueError, match="Pauli indices must be in 0..3"):
+        SCALAR_PAULI_INDEX_CALLS[name](index)
 
 
 class TestNonFiniteRefused:

@@ -26,7 +26,6 @@ from spacetimeq.process_matrix import (
     pauli_pair_correlation,
     pdm_gyni_demo,
     probability_table,
-    process_correlation,
     vertex_probability_table,
     violating_operations,
 )
@@ -70,12 +69,31 @@ def random_hermitian(d, seed):
     return h + dag(h)
 
 
+def per_entry_table(w, a, b):
+    """p[a, b, x, y] = Re Tr[W^T (A_{a|x} (x) B_{b|y})], one Kronecker product and trace per entry.
+
+    The oracle of ``probability_table``'s single contraction.
+    """
+    (k_a, m_a), (k_b, m_b) = a.ops.shape[:2], b.ops.shape[:2]
+    table = np.zeros((k_a, k_b, m_a, m_b))
+    for ao, bo, x, y in np.ndindex(table.shape):
+        table[ao, bo, x, y] = np.real(np.trace(w.w.T @ linalg.tensor(a.ops[ao, x], b.ops[bo, y])))
+    return table
+
+
 def assert_same_tables(w, a, b):
     direct = probability_table(w, a, b)
     ancilla = ancilla_probability_table(w, a, b)
-    assert ancilla.keys() == direct.keys()
-    for key, value in direct.items():
-        assert abs(ancilla[key] - value) < 1e-12, key
+    assert ancilla.shape == direct.shape
+    assert np.max(np.abs(ancilla - direct)) < 1e-12
+
+
+def random_instrument(rng, outcomes, inputs, dims):
+    """Random Hermitian operators of unit Frobenius norm, shaped (outcomes, inputs, d, d), d = d_in d_out."""
+    d = dims[0] * dims[1]
+    h = rng.normal(size=(outcomes, inputs, d, d)) + 1j * rng.normal(size=(outcomes, inputs, d, d))
+    h = h + h.conj().swapaxes(-1, -2)
+    return Instrument(ops=h / np.linalg.norm(h, axis=(-2, -1), keepdims=True), dims=dims)
 
 
 def pauli_term(pattern):
@@ -189,14 +207,12 @@ class TestCorrelations:
     def test_tables_normalized(self):
         inst = violating_operations()
         table = probability_table(ocb_process(), inst, inst)
-        for x in (0, 1):
-            for y in (0, 1):
-                total = sum(v for (a, b, xx, yy), v in table.items() if (xx, yy) == (x, y))
-                assert abs(total - 1.0) < 1e-8
+        assert table.shape == (2, 2, 2, 2)
+        assert np.max(np.abs(table.sum(axis=(0, 1)) - 1.0)) < 1e-8
 
     def test_instrument_completeness(self):
         inst = violating_operations()
-        for x in inst.inputs():
+        for x in range(inst.ops.shape[1]):
             assert inst.completeness_defect(x) < 1e-12
 
     def test_sixteen_entry_closed_form(self):
@@ -213,8 +229,28 @@ class TestCorrelations:
             (1, 0, 1, 1): 0.25 - INV_SQRT8 / 2,
             (1, 1, 1, 1): 0.25 + INV_SQRT8 / 2,
         }
-        for key, value in table.items():
-            assert abs(value - expected.get(key, 0.0)) < 1e-10, (key, value)
+        want = np.zeros((2, 2, 2, 2))
+        for key, value in expected.items():
+            want[key] = value
+        assert np.max(np.abs(table - want)) < 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_contraction_equals_the_per_entry_oracle(self, data):
+        dims = data.draw(st.tuples(*[st.integers(1, 3)] * 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        h = random_hermitian(int(np.prod(dims)), rng.integers(2**32))
+        w = ProcessMatrix(w=h / np.linalg.norm(h), dims=dims)  # |p| <= ||W|| ||A (x) B|| = 1
+        a, b = (random_instrument(rng, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), pair)
+                for pair in (dims[:2], dims[2:]))
+        table = probability_table(w, a, b)
+        assert table.shape == (len(a.ops), len(b.ops), a.ops.shape[1], b.ops.shape[1])
+        assert_allclose(table, per_entry_table(w, a, b), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 4), (2, 2, 4, 3), (2, 2, 9, 9), (1, 1, 1, 4, 4)])
+    def test_instrument_refuses_operators_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="instrument operators must be shaped"):
+            Instrument(ops=np.zeros(shape))
 
 
 class TestGames:
@@ -225,18 +261,12 @@ class TestGames:
         assert g > 0.5 and l > 0.75
 
     def test_uniform_noise(self):
-        table = {
-            (a, b, x, y): 0.25
-            for a in (0, 1)
-            for b in (0, 1)
-            for x in (0, 1)
-            for y in (0, 1)
-        }
+        table = np.full((2, 2, 2, 2), 0.25)
         assert abs(gyni_score(table) - 0.25) < 1e-12
         assert lgyni_score(table) <= 0.75
 
     def test_unnormalized_rejected(self):
-        table = {(0, 0, 0, 0): 0.7}
+        table = np.full((1, 1, 1, 1), 0.7)
         with pytest.raises(ValueError):
             gyni_score(table)
 
@@ -291,6 +321,11 @@ class TestCausalPolytope:
         # the classical bounds are attained
         assert worst_g == 0.5
         assert worst_l == 0.75
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_rejects_a_vertex_of_the_wrong_length(self, length):
+        with pytest.raises(ValueError, match="a vertex holds 4 outcome pairs"):
+            vertex_probability_table([(0, 0)] * length, 2, 2, 2, 2)
 
     def test_rejects_bad_cardinalities(self):
         with pytest.raises(ValueError):
