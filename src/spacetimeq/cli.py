@@ -393,7 +393,7 @@ def _histories_df(p):
     total = sum(entries.values())
     rows = [{"state": p.state, "paulis": p.paulis, "unitary": p.unitary, "hist": "".join(map(str, ha)),
              "hist_prime": "".join(map(str, hb)), "re": v.real, "im": v.imag}
-            for (ha, hb), v in sorted(entries.items())]
+            for (ha, hb), v in entries.items()]
     return {"entries": rows, "total_re": total.real, "total_im": total.imag}
 
 @experiment("histories.consistent", *HISTORY_PARAMS)

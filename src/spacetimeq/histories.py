@@ -3,19 +3,22 @@
 A history family is an initial state, one exhaustive mutually exclusive
 projector set per time, and a unitary per gap. The decoherence functional
 
-    D([a], [a']) = Tr[ P^n_{a_n} ... P^1_{a_1} rho P^1_{a'_1} ... P^n_{a'_n} ]
+    D([a], [a']) = Tr[ C_a rho C_a'^dagger ],   C_a = P~_n(a_n) ... P~_1(a_1),
 
-is evaluated in the Heisenberg picture built from the supplied
-Schroedinger-picture unitaries. Diagonal entries are history probabilities
+is defined in the Heisenberg picture, P~_t = W_t^dagger P_t W_t with the gap
+product W_t = U_{t-1} ... U_1. Diagonal entries are history probabilities
 whenever the family is consistent.
 
-``decoherence_functional`` is the definition, one entry at a time. Every other
-reader works from the class operators C_a = P~_n(a_n) ... P~_1(a_1) of all
-histories at once (``class_operators``), grown as a prefix tree: each time
-multiplies every class operator so far by each of its Heisenberg projectors.
-With rows A_a = vec(C_a rho) and B_a = vec(C_a), the whole matrix is one
-product, D = A B^dagger (``decoherence_array``); consistency, coarse-grained
-entries and the signed diagonal sum are read off D or its diagonal.
+``decoherence_functional`` is the definition, one entry at a time, and
+``heisenberg_projector`` its conjugation. Every other reader works in the
+Schroedinger picture: the chains X_a = P_n(a_n) U_{n-1} ... U_1 P_1(a_1) of
+all histories are grown as a prefix tree, each time one product by the gap
+unitary and one batched product by that time's (k, d, d) projector array.
+Since C_a = W_n^dagger X_a, the gap product telescopes out of every trace,
+D(a, a') = Tr[X_a rho X_a'^dagger]. With rows A_a = vec(X_a rho) and
+B_a = vec(X_a), the whole matrix is one product, D = A B^dagger
+(``decoherence_array``); consistency, coarse-grained entries and the signed
+diagonal sum are read off D or its diagonal.
 """
 
 from __future__ import annotations
@@ -34,32 +37,33 @@ from spacetimeq.pdm import TemporalProcess, event_correlation
 @dataclass(frozen=True)
 class HistoryFamily:
     initial: np.ndarray
-    projector_sets: tuple[tuple[np.ndarray, ...], ...]
+    projector_sets: tuple[np.ndarray, ...]  # one (k_t, d, d) array per time
     unitaries: tuple[np.ndarray, ...]
 
     def __init__(self, initial, projector_sets, unitaries=()):
         rho = linalg.checked_initial_state(initial)
-        sets = tuple(tuple(np.asarray(p, dtype=complex) for p in s) for s in projector_sets)
+        projector_sets = tuple(projector_sets)
         us = tuple(np.asarray(u, dtype=complex) for u in unitaries)
-        if len(us) != len(sets) - 1:
+        if len(us) != len(projector_sets) - 1:
             raise ValueError("need one unitary per gap between successive times")
         d = rho.shape[0]
-        for t, group in enumerate(sets):
-            if any(p.shape != (d, d) for p in group):
+        sets = []
+        for t, group in enumerate(projector_sets):
+            if any(np.shape(p) != (d, d) for p in group):
                 raise ValueError(f"projectors at time {t} must be {d} x {d}, like the initial state")
-            total = sum(group)
-            if not linalg.within(total, np.eye(d), 1e-10):
+            group = np.array(group, dtype=complex).reshape(-1, d, d)
+            if not linalg.within(group.sum(axis=0), np.eye(d), 1e-10):
                 raise ValueError(f"projectors at time {t} are not exhaustive")
-            for i, p in enumerate(group):
+            for i, p in enumerate(group):  # pairwise: a stacked product would hold k^2 d^2 entries
                 for j, q in enumerate(group):
-                    expected = p if i == j else np.zeros_like(p)
-                    if not linalg.within(p @ q, expected, 1e-9):
+                    if not linalg.within(p @ q, p if i == j else 0 * p, 1e-9):
                         raise ValueError(f"projectors at time {t} are not exclusive")
+            sets.append(group)
         for u in us:
             if u.shape != (d, d) or not linalg.is_unitary(u):
                 raise ValueError("gap evolutions must be unitary")
         object.__setattr__(self, "initial", rho)
-        object.__setattr__(self, "projector_sets", sets)
+        object.__setattr__(self, "projector_sets", tuple(sets))
         object.__setattr__(self, "unitaries", us)
 
     @property
@@ -99,24 +103,20 @@ def decoherence_functional(f: HistoryFamily, hist, hist_prime) -> complex:
     return complex(np.trace(chain @ left @ dag(chain_prime)))
 
 
-def class_operators(f: HistoryFamily) -> np.ndarray:
-    """The class operators C_a = P~_n(a_n) ... P~_1(a_1), shape (N, d, d), in ``f.labels()`` order."""
+def _chains(f: HistoryFamily) -> np.ndarray:
+    """The chains X_a = P_n(a_n) U_{n-1} ... U_1 P_1(a_1), shape (N, d, d), in ``f.labels()`` order."""
     d = f.initial.shape[0]
-    u_total = np.eye(d, dtype=complex)  # U_{t-1} ... U_1, one conjugation per projector
-    ops = u_total[None]
-    for t, group in enumerate(f.projector_sets):
-        if t:
-            u_total = f.unitaries[t - 1] @ u_total
-        heis = np.array([dag(u_total) @ p @ u_total for p in group])
+    chains = f.projector_sets[0]
+    for u, group in zip(f.unitaries, f.projector_sets[1:]):
         # the label at time t varies fastest, as in itertools.product
-        ops = (heis[None] @ ops[:, None]).reshape(-1, d, d)
-    return ops
+        chains = (group[None] @ (u @ chains)[:, None]).reshape(-1, d, d)
+    return chains
 
 
 def _vec_rows(f: HistoryFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Rows A_a = vec(C_a rho) and B_a = vec(C_a), so that D = A B^dagger."""
-    c = class_operators(f)
-    return (c @ f.initial).reshape(len(c), -1), c.reshape(len(c), -1)
+    """Rows A_a = vec(X_a rho) and B_a = vec(X_a), so that D = A B^dagger."""
+    x = _chains(f)
+    return (x @ f.initial).reshape(len(x), -1), x.reshape(len(x), -1)
 
 
 def decoherence_array(f: HistoryFamily) -> np.ndarray:
@@ -173,10 +173,8 @@ def coarse_grained_functional(f: HistoryFamily, partitions, bar_hist, bar_hist_p
 def coarse_grained_family(f: HistoryFamily, partitions) -> HistoryFamily:
     """New family whose projectors are the sums over each label group."""
     _check_partitions(f, partitions)
-    sets = []
-    for t, groups in enumerate(partitions):
-        zero = np.zeros_like(f.projector_sets[t][0])  # the projector of an empty group
-        sets.append(tuple(sum((f.projector_sets[t][i] for i in g), zero) for g in groups))
+    # an empty group sums to the zero projector
+    sets = [[group[list(g)].sum(axis=0) for g in groups] for group, groups in zip(f.projector_sets, partitions)]
     return HistoryFamily(f.initial, sets, f.unitaries)
 
 
@@ -198,7 +196,7 @@ def pdm_correlation_from_df(f: HistoryFamily) -> float:
     if any(len(s) != 2 for s in f.projector_sets):
         raise ValueError("signed sum needs a (+, -) projector pair at every time")
     a, b = _vec_rows(f)
-    signed = np.einsum("ij,ij->i", a, b.conj()).real  # Re D(a, a) = Re Tr(C_a rho C_a^dagger)
+    signed = np.einsum("ij,ij->i", a, b.conj()).real  # Re D(a, a) = Re Tr(X_a rho X_a^dagger)
     for _ in range(f.n_times):  # the last time's label varies fastest: its + branch minus its - branch
         signed = signed.reshape(-1, 2) @ np.array([1.0, -1.0])
     return float(signed[0])

@@ -241,42 +241,35 @@ class UndefinedPostselectionError(ValueError):
     """All cascade branches are incompatible with the postselection."""
 
 
-def _postselected_branch_probs(rho, ch: KrausChannel, i: int, j: int, eta):
+def postselected_correlation(rho, ch: KrausChannel, i: int, j: int, eta) -> float:
+    """Two-time Pauli correlation conditioned on a final projection eta.
+
+    Returns sum_{ab} ab p_ab / sum_{ab} p_ab with
+    p_ab = Tr[eta P_j^b E(P_i^a rho P_i^a) P_j^b]. Summing the Lueders
+    branches of O = P^+ - P^- gives the Jordan map J_O(X) = {O, X}/2 with
+    signs and the dephasing D_O(X) = (X + O X O)/2 without, so the value is
+    Tr[eta J_j E J_i rho] / Tr[eta D_j E D_i rho]. It is invariant under
+    rescaling eta. Raises UndefinedPostselectionError when every branch has
+    zero weight.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2) or (ch.in_dim, ch.out_dim) != (2, 2):
         raise ValueError(
             f"postselection needs a one-qubit state and a one-qubit channel, got state shape {rho.shape} "
             f"and a {ch.in_dim} -> {ch.out_dim} channel"
         )
-    pi_plus, pi_minus = linalg.dichotomic_projectors(linalg.pauli_string_matrix([i]))
-    pj_plus, pj_minus = linalg.dichotomic_projectors(linalg.pauli_string_matrix([j]))
+    o_i, o_j = linalg.pauli_string_matrix([i]), linalg.pauli_string_matrix([j])
     eta = np.asarray(eta, dtype=complex)
     if eta.shape != (2, 2):
         raise ValueError(f"eta must be a 2 x 2 one-qubit operator, got shape {eta.shape}")
-    probs = {}
-    for alpha, pa in ((1, pi_plus), (-1, pi_minus)):
-        mid = apply(ch, pa @ rho @ pa)
-        for beta, pb in ((1, pj_plus), (-1, pj_minus)):
-            probs[(alpha, beta)] = np.real(np.trace(eta @ pb @ mid @ pb))
-    return probs
-
-
-def postselected_correlation(rho, ch: KrausChannel, i: int, j: int, eta) -> float:
-    """Two-time Pauli correlation conditioned on a final projection eta.
-
-    Returns sum_{ab} ab p_ab / sum_{ab} p_ab with
-    p_ab = Tr[eta P_j^b E(P_i^a rho P_i^a) P_j^b]. The value is invariant
-    under rescaling eta. Raises UndefinedPostselectionError when every
-    branch has zero weight.
-    """
-    probs = _postselected_branch_probs(rho, ch, i, j, eta)
-    total = sum(probs.values())
+    signed = apply(ch, (o_i @ rho + rho @ o_i) / 2)
+    dephased = apply(ch, (rho + o_i @ rho @ o_i) / 2)
+    total = np.trace(eta @ (dephased + o_j @ dephased @ o_j)).real / 2
     if total <= 1e-14:
         raise UndefinedPostselectionError(
             "postselection is incompatible with every measurement branch"
         )
-    signed = sum(a * b * p for (a, b), p in probs.items())
-    return float(signed / total)
+    return float(np.trace(eta @ (o_j @ signed + signed @ o_j)).real / 2 / total)
 
 
 def build_postselected_pdm(rho, ch: KrausChannel, eta) -> PDM:

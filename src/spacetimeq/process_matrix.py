@@ -155,7 +155,10 @@ def probability_table(w: ProcessMatrix, a: Instrument, b: Instrument) -> np.ndar
 
 
 def _checked_indices(p: np.ndarray) -> np.ndarray:
-    """The index grids a, b, x, y of table ``p``, once the entries of every input pair sum to 1."""
+    """The index grids a, b, x, y of a (2, 2, 2, 2) table ``p``, once the entries of every input pair sum to 1."""
+    if p.shape != (2, 2, 2, 2):
+        raise ValueError("GYNI and LGYNI need two outcomes and two inputs per party, a (2, 2, 2, 2) table, "
+                         f"got shape {p.shape}")
     off = np.argwhere(np.abs(p.sum(axis=(0, 1)) - 1.0) > 1e-8)
     if len(off):
         raise ValueError(f"probability table not normalized at inputs {tuple(off[0].tolist())}")
@@ -350,5 +353,7 @@ def vertex_probability_table(vertex, m_a: int, m_b: int, k_a: int, k_b: int) -> 
         raise ValueError(f"a vertex holds {m_a * m_b} outcome pairs, one per input pair, got {len(vertex)}")
     table = np.zeros((k_a, k_b, m_a, m_b))
     for (a, b), (x, y) in zip(vertex, itertools.product(range(m_a), range(m_b))):
+        if not (0 <= a < k_a and 0 <= b < k_b):
+            raise ValueError(f"outcome pair {(a, b)} at inputs {(x, y)} is outside 0..{k_a - 1} x 0..{k_b - 1}")
         table[a, b, x, y] = 1.0
     return table

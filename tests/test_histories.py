@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from spacetimeq import channels, histories, linalg, pdm
 from spacetimeq.histories import (
     HistoryFamily,
-    class_operators,
+    _chains,
     coarse_grained_family,
     coarse_grained_functional,
     decoherence_array,
@@ -40,8 +40,12 @@ class TestFamilyValidation:
 
     def test_rejects_non_exclusive(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not exhaustive"):
             HistoryFamily(ZERO, [(p0, EYE - 0.5 * p0)], ())
+
+    def test_rejects_an_exhaustive_pair_that_is_not_exclusive(self):
+        with pytest.raises(ValueError, match="projectors at time 0 are not exclusive"):
+            HistoryFamily(ZERO, [(EYE / 2, EYE / 2)], ())
 
     def test_rejects_non_unitary_gap(self):
         plus, minus = linalg.dichotomic_projectors(Z)
@@ -219,7 +223,7 @@ class TestPartitionValidation:
                    - 2 * decoherence_functional(fam, (0, 1), (1, 1)).real) < 1e-12
 
 
-# -- the class-operator route against the entry-by-entry definition -------------
+# -- the chain route against the entry-by-entry definition ----------------------
 
 
 def pairwise_is_consistent(f, tol, strong):
@@ -297,9 +301,12 @@ def test_matrix_equals_the_functional_on_every_pair(f):
     assert list(dm) == [(a, b) for a in labels for b in labels]
     for (a, b), v in dm.items():
         assert abs(v - decoherence_functional(f, a, b)) <= 1e-12
-    c = class_operators(f)
+    c = _chains(f)
     assert c.shape == (len(labels),) + f.initial.shape
-    for op, a in zip(c, labels):
+    w = np.eye(f.initial.shape[0])  # W_n = U_{n-1} ... U_1, so that C_a = W_n^dagger X_a
+    for u in f.unitaries:
+        w = u @ w
+    for op, a in zip(linalg.dag(w) @ c, labels):
         chain = np.eye(f.initial.shape[0])
         for t, label in enumerate(a):
             chain = f.heisenberg_projector(t, label) @ chain

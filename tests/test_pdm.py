@@ -456,7 +456,28 @@ class TestTetrahedron:
             tetrahedron_point(TemporalProcess(I2 / 2, [identity_channel(), identity_channel()]))
 
 
+def branch_postselected_correlation(rho, ch, i, j, eta):
+    """sum_ab ab p_ab / sum_ab p_ab over the four Lueders branches, p_ab = Tr[eta P_j^b E(P_i^a rho P_i^a) P_j^b]."""
+    pi = linalg.dichotomic_projectors(linalg.pauli_string_matrix([i]))
+    pj = linalg.dichotomic_projectors(linalg.pauli_string_matrix([j]))
+    probs = {}
+    for alpha, pa in zip((1, -1), pi):
+        mid = channels.apply(ch, pa @ rho @ pa)
+        for beta, pb in zip((1, -1), pj):
+            probs[(alpha, beta)] = np.trace(eta @ pb @ mid @ pb).real
+    return sum(a * b * p for (a, b), p in probs.items()) / sum(probs.values())
+
+
 class TestPostselection:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), i=st.integers(0, 3), j=st.integers(0, 3))
+    def test_matches_the_four_branch_oracle(self, seed, i, j):
+        rho = linalg.random_density_matrix(2, seed)
+        ch = random_channel(2, 2, seed + 1)
+        eta = linalg.random_density_matrix(2, seed + 2)
+        want = branch_postselected_correlation(rho, ch, i, j, eta)
+        assert abs(postselected_correlation(rho, ch, i, j, eta) - want) <= 1e-12
+
     def test_trivial_postselection_reduces(self):
         rho = linalg.random_density_matrix(2, 21)
         ch = random_channel(2, 2, 22)

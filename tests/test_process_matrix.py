@@ -270,6 +270,17 @@ class TestGames:
         with pytest.raises(ValueError):
             gyni_score(table)
 
+    def test_unnormalized_table_of_the_right_shape_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            gyni_score(np.full((2, 2, 2, 2), 0.3))
+
+    @pytest.mark.parametrize("score", [gyni_score, lgyni_score])
+    @pytest.mark.parametrize("table", [np.full((3, 3, 3, 3), 1 / 9), np.full((2, 2, 2), 0.25)],
+                             ids=["uniform-3333", "three-axes"])
+    def test_tables_other_than_two_by_two_are_refused(self, score, table):
+        with pytest.raises(ValueError, match=r"a \(2, 2, 2, 2\) table, got shape"):
+            score(table)
+
     def test_spacetime_route_equals_process_route(self):
         g, l = gyni_demo()
         g2, l2 = pdm_gyni_demo()
@@ -326,6 +337,12 @@ class TestCausalPolytope:
     def test_rejects_a_vertex_of_the_wrong_length(self, length):
         with pytest.raises(ValueError, match="a vertex holds 4 outcome pairs"):
             vertex_probability_table([(0, 0)] * length, 2, 2, 2, 2)
+
+    @pytest.mark.parametrize("outcome", [-1, 2])
+    def test_rejects_an_outcome_out_of_range(self, outcome):
+        for vertex in ([(outcome, 0)] * 4, [(0, outcome)] * 4):
+            with pytest.raises(ValueError, match="is outside 0..1 x 0..1"):
+                vertex_probability_table(vertex, 2, 2, 2, 2)
 
     def test_rejects_bad_cardinalities(self):
         with pytest.raises(ValueError):
