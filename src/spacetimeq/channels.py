@@ -1,5 +1,6 @@
 """Quantum channels as Kraus families and their Choi matrices.
 
+A channel holds its r Kraus operators as one complex (r, d_out, d_in) array.
 ``apply`` takes one of two routes, chosen once from the operators when the
 channel is built. When every column of every Kraus operator holds at most one
 nonzero entry (diagonal, permutation-times-diagonal and single-entry families,
@@ -10,7 +11,7 @@ entry (a_i, a_j) per ordered pair of nonzeros of one operator. Those nonzeros
 are cached, and ``apply`` gathers and scatters them in O(sum_k nnz(K_k)^2)
 instead of 2 r d^3 for the dense products. Every other family (Haar unitaries,
 random channels, preparation of a non-basis state) takes the Kraus sum
-``sum_k K rho K^dag``.
+``sum_k K rho K^dag`` as one batched product summed over the first axis.
 
 Choi convention: the unnormalized maximally entangled vector
 ``|I>> = sum_n |n>|n>`` with the *output* factor first, so the Choi matrix
@@ -19,7 +20,9 @@ of a map E from dimension d0 to d1 is
     M = sum_{ij} E(|i><j|) (x) |i><j|   on  H_out (x) H_in,
 
 trace preservation reads ``Tr_out M = I_in`` and the inverse map is
-``E(X) = Tr_in[(I (x) X^T) M]``. This convention is fixed package-wide.
+``E(X) = Tr_in[(I (x) X^T) M]``. This output-first convention holds for every
+channel here; process matrices put the input factor first
+(``process_matrix.maxent_choi``).
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from spacetimeq.linalg import I2, X, Y, Z, dag
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map represented by a list of Kraus operators (out_dim x in_dim), complete within 1e-8."""
+    """CPTP map held as one (r, out_dim, in_dim) stack of Kraus operators, complete within 1e-8."""
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     in_dim: int = field(init=False)
     out_dim: int = field(init=False)
     # nonzeros of the superoperator of a column-sparse family (see _sparse_superoperator), else None
@@ -45,18 +48,22 @@ class KrausChannel:
     )
 
     def __init__(self, operators):
-        ops = tuple(np.asarray(k, dtype=complex) for k in operators)
-        if not ops:
+        """Take the (r, out_dim, in_dim) array, or any sequence of r equal-shape matrices."""
+        try:
+            ops = np.asarray(operators, dtype=complex)
+        except ValueError:  # a ragged sequence
+            raise ValueError("all Kraus operators must share one shape") from None
+        if len(ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        out_dim, in_dim = ops[0].shape
-        if any(k.shape != (out_dim, in_dim) for k in ops):
+        if ops.ndim != 3:
             raise ValueError("all Kraus operators must share one shape")
+        _, out_dim, in_dim = ops.shape
         if out_dim == 0 or in_dim == 0:
             raise ValueError("Kraus operators must have nonzero dimensions")
         superop = _sparse_superoperator(ops, out_dim, in_dim)
         with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN, which within() refuses
             if superop is None:
-                total = sum(dag(k) @ k for k in ops)
+                total = (dag(ops) @ ops).sum(axis=0)
             else:  # Tr E(|i><j|) = (sum_k K^dag K)[j, i]: the weights landing on the diagonal
                 dst, src, left, right = superop
                 on_diagonal = dst % (out_dim + 1) == 0
@@ -110,10 +117,7 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     if ch._superop is not None:
         dst, src, left, right = ch._superop
         return _scatter(dst, left * rho.ravel()[src] * right, ch.out_dim)
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-    for k in ch.operators:
-        out += k @ rho @ dag(k)
-    return out
+    return (ch.operators @ rho @ dag(ch.operators)).sum(axis=0)
 
 
 def apply_n(ch: KrausChannel, rho: np.ndarray, n: int) -> np.ndarray:
@@ -125,40 +129,35 @@ def apply_n(ch: KrausChannel, rho: np.ndarray, n: int) -> np.ndarray:
 
 
 def identity_channel(d: int = 2) -> KrausChannel:
-    return KrausChannel([np.eye(d, dtype=complex)])
+    return KrausChannel(np.eye(d, dtype=complex)[None])
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     u = np.asarray(u, dtype=complex)
     if not linalg.is_unitary(u):
         raise ValueError("matrix is not unitary")
-    return KrausChannel([u])
+    return KrausChannel(u[None])
 
 
 def discard_and_prepare(sigma: np.ndarray) -> KrausChannel:
-    """Channel rho -> Tr[rho] * sigma (trace out everything, prepare sigma)."""
-    sigma = np.asarray(sigma, dtype=complex)
-    d_out = sigma.shape[0]
+    """Channel rho -> Tr[rho] * sigma (trace out everything, prepare sigma).
+
+    The Kraus operators are sqrt(lambda_k) |v_k><j| over the eigenpairs of sigma with
+    lambda_k >= 1e-14 and every input basis state j, j varying fastest.
+    """
+    sigma = linalg.checked_initial_state(sigma)
     vals, vecs = np.linalg.eigh(sigma)
-    vals = np.clip(vals.real, 0.0, None)
-    d_in = d_out
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam < 1e-14:
-            continue
-        for j in range(d_in):
-            e = np.zeros((1, d_in), dtype=complex)
-            e[0, j] = 1.0
-            ops.append(np.sqrt(lam) * np.outer(v, e[0].conj()))
-    return KrausChannel(ops)
+    kept = vals >= 1e-14
+    d = len(sigma)
+    ops = np.einsum("k,ak,ij->kjai", np.sqrt(vals[kept]), vecs[:, kept], np.eye(d))
+    return KrausChannel(ops.reshape(-1, d, d))
 
 
 def random_channel(d: int, kraus_rank: int, seed: int) -> KrausChannel:
     """Random CPTP channel from a Haar isometry (Stinespring dilation)."""
     u = linalg.haar_random_unitary(d * kraus_rank, seed)
     iso = u[:, :d]  # isometry from the system into system (x) environment
-    ops = [iso[k * d : (k + 1) * d, :] for k in range(kraus_rank)]
-    return KrausChannel(ops)
+    return KrausChannel(iso.reshape(kraus_rank, d, d))
 
 
 def depolarizing(p: float) -> KrausChannel:
@@ -223,7 +222,7 @@ class ChoiFlags:
 
 def choi_of_channel(ch: KrausChannel) -> ChoiOperator:
     """Choi matrix sum_{ij} E(|i><j|) (x) |i><j| = sum_k vec(K) vec(K)^dag, vec(K) = K.ravel()."""
-    v = np.array(ch.operators).reshape(len(ch.operators), -1)  # row k is vec(K_k)
+    v = ch.operators.reshape(len(ch.operators), -1)  # row k is vec(K_k)
     return ChoiOperator(matrix=v.T @ v.conj(), dims=(ch.out_dim, ch.in_dim))
 
 

@@ -224,12 +224,8 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
 
 def fock_phase_damping(n_max: int) -> KrausChannel:
     """Full phase damping: keeps Fock populations, kills all coherences."""
-    ops = []
-    for n in range(n_max):
-        k = np.zeros((n_max, n_max), dtype=complex)
-        k[n, n] = 1.0
-        ops.append(k)
-    return KrausChannel(ops)
+    eye = np.eye(n_max, dtype=complex)
+    return KrausChannel(eye[:, :, None] * eye[:, None, :])  # K_n = |n><n|
 
 
 def cascade_monte_carlo(

@@ -83,16 +83,20 @@ class HistoryFamily:
         return dag(u_total) @ p @ u_total
 
 
-def decoherence_functional(f: HistoryFamily, hist, hist_prime) -> complex:
-    """D([a],[a']) for a pair of history label tuples."""
-    hist = tuple(hist)
-    hist_prime = tuple(hist_prime)
-    if len(hist) != f.n_times or len(hist_prime) != f.n_times:
+def _checked_labels(hist, hist_prime, sizes) -> tuple[tuple, tuple]:
+    """Both label tuples, once each names one label per time, label t in 0..sizes[t] - 1."""
+    hist, hist_prime = tuple(hist), tuple(hist_prime)
+    if len(hist) != len(sizes) or len(hist_prime) != len(sizes):
         raise ValueError("history labels must name one projector per time")
-    for t, (a, ap) in enumerate(zip(hist, hist_prime)):
-        n_out = len(f.projector_sets[t])
+    for t, (a, ap, n_out) in enumerate(zip(hist, hist_prime, sizes)):
         if not (0 <= a < n_out and 0 <= ap < n_out):
             raise IndexError(f"label out of range at time {t}")
+    return hist, hist_prime
+
+
+def decoherence_functional(f: HistoryFamily, hist, hist_prime) -> complex:
+    """D([a],[a']) for a pair of history label tuples."""
+    hist, hist_prime = _checked_labels(hist, hist_prime, [len(s) for s in f.projector_sets])
     left = f.initial.copy()
     chain = np.eye(f.initial.shape[0], dtype=complex)
     for t in range(f.n_times):
@@ -163,6 +167,7 @@ def coarse_grained_functional(f: HistoryFamily, partitions, bar_hist, bar_hist_p
     at time t stands for every fine label in partitions[t][k].
     """
     _check_partitions(f, partitions)
+    bar_hist, bar_hist_prime = _checked_labels(bar_hist, bar_hist_prime, [len(g) for g in partitions])
     groups = [partitions[t][bar_hist[t]] for t in range(f.n_times)]
     groups_prime = [partitions[t][bar_hist_prime[t]] for t in range(f.n_times)]
     sizes = tuple(len(s) for s in f.projector_sets)
@@ -209,38 +214,36 @@ def matching_process_correlation(initial, pauli_indices, unitaries) -> float:
     return event_correlation(proc, tuple(pauli_indices))
 
 
-def signalling_game_probability(tau_x, phi, memory: KrausChannel, psi) -> dict:
-    """Outcome table of a one-player signalling game at two times.
+def signalling_game_probability(tau_x, phi, memory: KrausChannel, psi) -> np.ndarray:
+    """Outcome table p[a, b] of a one-player signalling game at two times.
 
-    ``phi`` maps each first-round outcome ``a`` to its list of Kraus
-    operators (together forming one trace-preserving instrument), ``memory``
-    carries the output between the rounds, and ``psi`` maps each ``a`` to
-    the POVM {psi[a][b]} read out at the second time. Returns
-    {(a, b): p(a, b | x)} with rows summing to one.
+    ``phi`` is a (k_a, r, d_mid, d) array: outcome a's Kraus operators, zero-padded to one
+    count r, together forming one trace-preserving instrument. ``memory`` carries the output
+    between the rounds, and ``psi`` is a (k_a, k_b, d_out, d_out) array: psi[a] is the POVM
+    read out at the second time after outcome a. Outcomes are indexed from 0; each row of
+    the table sums to one.
     """
     tau = np.asarray(tau_x, dtype=complex)
+    phi = np.asarray(phi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
     d = tau.shape[0]
-    completeness = sum(
-        dag(k) @ k for ops in phi.values() for k in map(np.asarray, ops)
-    )
-    if not linalg.within(completeness, np.eye(d), 1e-8):
+    if not linalg.within((dag(phi) @ phi).sum(axis=(0, 1)), np.eye(d), 1e-8):
         raise ValueError("first-round instrument is not trace preserving overall")
-    table = {}
-    for a, ops in phi.items():
-        branch = np.zeros_like(tau)
-        for k in ops:
-            k = np.asarray(k, dtype=complex)
-            branch += k @ tau @ dag(k)
-        evolved = apply(memory, branch)
-        povm = psi[a]
-        total_povm = sum(np.asarray(e, dtype=complex) for e in povm.values())
-        if not linalg.within(total_povm, np.eye(evolved.shape[0]), 1e-8):
+    if len(psi) != len(phi):
+        raise ValueError(f"psi holds {len(psi)} second-round POVMs, one per first-round outcome, "
+                         f"but phi has {len(phi)} outcomes")
+    for a, povm in enumerate(psi):
+        if not linalg.within(povm.sum(axis=0), np.eye(memory.out_dim), 1e-8):
             raise ValueError(f"second-round POVM for outcome {a} is incomplete")
-        for b, effect in povm.items():
-            table[(a, b)] = float(np.real(np.trace(np.asarray(effect, dtype=complex) @ evolved)))
-    return table
+    branches = (phi @ tau @ dag(phi)).sum(axis=1)  # outcome a's unnormalized state
+    evolved = np.array([apply(memory, branch) for branch in branches])
+    return np.einsum("abij,aji->ab", psi, evolved).real
 
 
-def signed_game_correlation(table: dict) -> float:
-    """sum_ab a b p(a, b) for +/-1-labelled outcomes."""
-    return float(sum(a * b * p for (a, b), p in table.items()))
+def signed_game_correlation(p: np.ndarray) -> float:
+    """sum_ab s_a s_b p[a, b] for two outcomes per round, s = (1, -1): outcome 0 reads as +1."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (2, 2):
+        raise ValueError(f"the signed correlation needs a 2 x 2 table, got shape {p.shape}")
+    s = np.array([1.0, -1.0])
+    return float(s @ p @ s)

@@ -35,8 +35,8 @@ KET1 = np.array([0, 1], dtype=complex)
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(m.T)
+    """Conjugate transpose of a matrix, or of each matrix of a stack (the last two axes)."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def ket(vec) -> np.ndarray:

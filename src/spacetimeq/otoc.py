@@ -90,6 +90,16 @@ def _final_state_bra(s: np.ndarray) -> np.ndarray:
     return s.T / np.sqrt(n)
 
 
+def _final_state_circuit(psi, s) -> tuple[np.ndarray, np.ndarray]:
+    """S, once it is an N x N unitary, and |psi>_M (x) |Phi>_(in, out) as an (N, N, N) array."""
+    psi = linalg.ket(psi)
+    n = psi.size
+    s = np.asarray(s, dtype=complex)
+    if s.shape != (n, n) or not linalg.is_unitary(s):
+        raise ValueError("s must be unitary")
+    return s, linalg.tensor(psi, linalg.maximally_entangled_ket(n)).reshape(n, n, n)
+
+
 def final_state_conditional_output(psi, s=None, seed: int | None = None):
     """Evaporation toy model: conditional state after the final projection.
 
@@ -102,20 +112,12 @@ def final_state_conditional_output(psi, s=None, seed: int | None = None):
     Returns ``(probability, conditional_out_state)``. When ``s`` is None a
     Haar-random unitary drawn from ``seed`` is used.
     """
-    psi = linalg.ket(psi)
-    n = psi.size
     if s is None:
         if seed is None:
             raise ValueError("provide a unitary or a seed to draw one")
-        s = linalg.haar_random_unitary(n, seed)
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (n, n) or not linalg.is_unitary(s):
-        raise ValueError("s must be unitary")
-
-    state = linalg.tensor(psi, linalg.maximally_entangled_ket(n))  # M (x) in (x) out
-    amp = np.tensordot(
-        _final_state_bra(s), state.reshape(n, n, n), axes=([0, 1], [0, 1])
-    )
+        s = linalg.haar_random_unitary(linalg.ket(psi).size, seed)
+    s, state = _final_state_circuit(psi, s)
+    amp = np.tensordot(_final_state_bra(s), state, axes=([0, 1], [0, 1]))
     prob = float(np.real(np.vdot(amp, amp)))
     if prob <= 0:
         raise ValueError("projection annihilated the state")
@@ -132,10 +134,7 @@ def final_state_otoc_probability(psi, s, probe_out=None) -> float:
     probe onto the conditional out state leaves the probability at the bare
     value 1/N^2.
     """
-    psi = linalg.ket(psi)
-    n = psi.size
-    s = np.asarray(s, dtype=complex)
-    state = linalg.tensor(psi, linalg.maximally_entangled_ket(n)).reshape(n, n, n)
+    s, state = _final_state_circuit(psi, s)
     if probe_out is not None:
         probe = np.asarray(probe_out, dtype=complex)
         state = np.einsum("mio,po->mip", state, probe, optimize=True)

@@ -271,12 +271,11 @@ def ancilla_probability_table(w: ProcessMatrix, a: Instrument, b: Instrument) ->
     """
     (k_a, m_a), (k_b, m_b) = a.ops.shape[:2], b.ops.shape[:2]
     controlled_a, controlled_b = _controlled_ops(a), _controlled_ops(b)
+    dims = (controlled_a.shape[1], controlled_b.shape[1]) * 2
     table = np.empty((k_a, k_b, m_a, m_b))
-    for x, y in np.ndindex(m_a, m_b):
-        background_t = _expand_ancilla(_ancilla(m_a, x), _ancilla(m_b, y), w).T
-        for ao, op_a in enumerate(controlled_a):
-            for bo, op_b in enumerate(controlled_b):
-                table[ao, bo, x, y] = np.real(np.trace(background_t @ linalg.tensor(op_a, op_b)))
+    for x, y in np.ndindex(m_a, m_b):  # Tr[B^T (hat A_a (x) hat B_b)] for every outcome pair at once
+        background = _expand_ancilla(_ancilla(m_a, x), _ancilla(m_b, y), w).reshape(dims)
+        table[:, :, x, y] = np.einsum("pqPQ,apP,bqQ->ab", background, controlled_a, controlled_b).real
     return table
 
 
@@ -292,11 +291,10 @@ def _ancilla(n_inputs: int, x: int) -> np.ndarray:
     return np.diag(np.eye(n_inputs)[x])
 
 
-def _controlled_ops(inst: Instrument) -> list:
-    """hat A_a = sum_x |x><x| (x) A_{a|x} on ancilla (x) input (x) output, one per outcome a."""
-    n_inputs = inst.ops.shape[1]
-    return [sum(linalg.tensor(_ancilla(n_inputs, x), op) for x, op in enumerate(per_input))
-            for per_input in inst.ops]
+def _controlled_ops(inst: Instrument) -> np.ndarray:
+    """hat A_a = sum_x |x><x| (x) A_{a|x} on ancilla (x) input (x) output, as one (k, m D, m D) array."""
+    k, m, d = inst.ops.shape[:3]
+    return np.einsum("xy,axij->axiyj", np.eye(m), inst.ops).reshape(k, m * d, m * d)
 
 
 def _expand_ancilla(anc_a: np.ndarray, anc_b: np.ndarray, w: ProcessMatrix) -> np.ndarray:

@@ -64,9 +64,7 @@ def channel_decay_series(rho, ch: KrausChannel, obs: int, n_max: int) -> Correla
 
 def kraus_contraction_factor(ch: KrausChannel) -> float:
     """gamma = max operator norm over the Kraus family."""
-    return max(
-        float(np.linalg.svd(k, compute_uv=False).max()) for k in ch.operators
-    )
+    return float(np.linalg.norm(ch.operators, 2, axis=(1, 2)).max())
 
 
 def general_decay_bound_check(ch: KrausChannel, n: int) -> bool:
@@ -113,13 +111,14 @@ def dephasing_symmetrization_series(lam: float, n_max: int) -> CorrelationSeries
 
 
 def _symmetrized(c: float, c2: float, n_max: int) -> list:
-    """x_1 = 1, x_{n+1} = 4 x_n c / (3 + x_n^2 c2) for a Bloch contraction c per round.
+    """x_1 ... x_{n_max}, x_1 = 1, x_{n+1} = 4 x_n c / (3 + x_n^2 c2) for a Bloch contraction c per round.
 
     ``c2`` is c^2 as the caller computes it, so that each series keeps its own rounding.
     """
-    vals = [1.0]
-    for _ in range(n_max - 1):
-        vals.append(4.0 * vals[-1] * c / (3.0 + vals[-1] * vals[-1] * c2))
+    vals, x = [], 1.0
+    for _ in range(n_max):
+        vals.append(x)
+        x = 4.0 * x * c / (3.0 + x * x * c2)
     return vals
 
 
@@ -409,6 +408,8 @@ def subharmonic_peak(series: CorrelationSeries | list | tuple) -> SubharmonicPea
 def long_range_order_in_time(series, window: int, threshold: float) -> bool:
     """True when min |value| over the trailing window stays >= threshold."""
     vals = np.asarray(series, dtype=float)
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     if window > vals.size:
         raise ValueError("window longer than the series")
     return bool(np.min(np.abs(vals[-window:])) >= threshold)

@@ -132,6 +132,11 @@ class TestConstructors:
         with pytest.raises(ValueError):
             KrausChannel([0.5 * I2])
 
+    def test_discard_and_prepare_refuses_a_non_hermitian_sigma(self):
+        # unit trace but not Hermitian; eigh would read only its lower triangle
+        with pytest.raises(ValueError, match="Hermitian"):
+            channels.discard_and_prepare(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
 
 class TestLindbladDephasing:
     def test_time_zero(self):

@@ -10,7 +10,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spacetimeq import channels, cv_wigner, linalg
 from spacetimeq.channels import KrausChannel
@@ -86,6 +86,23 @@ def test_rows_shared_within_one_operator(d_in, d_out, seed):
     assert np.max(np.abs(channels.apply(ch, rho) - kraus_sum(ch.operators, rho))) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    d_in=st.integers(1, 5),
+    d_out=st.integers(1, 5),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_dense_route_matches_the_kraus_sum(d_in, d_out, rank, seed):
+    """The batched product (K rho K^dag).sum(axis=0) against the loop, on unit-trace states."""
+    assume(d_out * rank >= d_in)  # a Stinespring isometry needs d_out r >= d_in
+    iso = linalg.haar_random_unitary(d_out * rank, seed)[:, :d_in]
+    ch = KrausChannel(iso.reshape(rank, d_out, d_in))
+    assert ch._superop is None or d_out == 1  # a one-row operator has one entry per column
+    rho = linalg.random_density_matrix(d_in, seed + 1)
+    assert np.max(np.abs(channels.apply(ch, rho) - kraus_sum(ch.operators, rho))) <= 1e-14
+
+
 def test_trace_check_on_both_routes():
     """The first family's sum_k K^dag K has a unit diagonal but ones off it: not trace preserving."""
     h = np.sqrt(0.5)
@@ -113,9 +130,17 @@ SPARSE = {
 }
 DENSE = {
     "haar unitary": lambda: channels.unitary_channel(linalg.haar_random_unitary(3, 7)),
+    "random_channel(rank 1)": lambda: channels.random_channel(2, 1, 6),
     "random_channel": lambda: channels.random_channel(3, 2, 5),
     "discard_and_prepare(plus)": lambda: channels.discard_and_prepare(np.full((2, 2), 0.5)),
 }
+
+
+@pytest.mark.parametrize("name", [*SPARSE, *DENSE])
+def test_every_builder_holds_one_complex_array(name):
+    ch = {**SPARSE, **DENSE}[name]()
+    assert isinstance(ch.operators, np.ndarray) and ch.operators.dtype == complex
+    assert ch.operators.ndim == 3 and ch.operators.shape[1:] == (ch.out_dim, ch.in_dim)
 
 
 @pytest.mark.parametrize("name", SPARSE)
@@ -139,6 +164,23 @@ def test_phase_space_channels_are_exact(name):
     rng = np.random.default_rng(4)
     rho = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     assert np.array_equal(channels.apply(ch, rho), kraus_sum(ch.operators, rho))
+
+
+def test_constructor_takes_an_array_or_a_sequence():
+    ops = channels.depolarizing(0.3).operators
+    from_list = KrausChannel(list(ops))
+    assert np.array_equal(KrausChannel(ops).operators, from_list.operators)
+    assert from_list.operators.shape == (4, 2, 2)
+
+
+@pytest.mark.parametrize("operators, message", [
+    ([], "at least one Kraus operator"),
+    ([np.eye(2), np.eye(3)], "share one shape"),  # ragged
+    ([np.eye(2)[0]], "share one shape"),  # a vector is not a matrix
+])
+def test_constructor_refusals(operators, message):
+    with pytest.raises(ValueError, match=message):
+        KrausChannel(operators)
 
 
 def test_cache_stays_out_of_repr_equality_and_signature():

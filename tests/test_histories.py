@@ -210,6 +210,18 @@ class TestPartitionValidation:
         with pytest.raises(ValueError):
             coarse_grained_family(fam, partitions)
 
+    @pytest.mark.parametrize("bar, error, message", [
+        ((-1, 0), IndexError, "label out of range at time 0"),
+        ((2, 0), IndexError, "label out of range at time 0"),
+        ((0,), ValueError, "one projector per time"),
+    ])
+    def test_coarse_labels_are_checked(self, bar, error, message):
+        fam = pauli_history_family(PLUS, [1, 3], [linalg.haar_random_unitary(2, 5)])
+        partitions = [[(0,), (1,)], [(0,), (1,)]]
+        for pair in ((bar, (0, 0)), ((0, 0), bar)):
+            with pytest.raises(error, match=message):
+                coarse_grained_functional(fam, partitions, *pair)
+
     def test_empty_group_is_a_zero_block(self):
         fam = pauli_history_family(PLUS, [1, 3], [HADAMARD])
         partitions = [[(0, 1), ()], [(1,), (0,)]]
@@ -363,29 +375,31 @@ def test_signed_diagonal_equals_the_cascade(paulis, seed):
 
 
 class TestSignallingGame:
+    """Outcome 0 of each round is the + outcome, read as +1."""
+
     def test_sharp_repeated_measurement(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
         tau = np.diag([0.7, 0.3]).astype(complex)
-        phi = {0: [p0], 1: [p1]}
-        psi = {a: {0: p0, 1: p1} for a in (0, 1)}
+        phi = np.array([[p0], [p1]])
+        psi = np.array([[p0, p1], [p0, p1]])
         table = signalling_game_probability(tau, phi, channels.identity_channel(), psi)
-        assert abs(table[(0, 0)] - 0.7) < 1e-12
-        assert abs(table[(1, 1)] - 0.3) < 1e-12
-        assert abs(table[(0, 1)]) < 1e-12 and abs(table[(1, 0)]) < 1e-12
+        assert abs(table[0, 0] - 0.7) < 1e-12
+        assert abs(table[1, 1] - 0.3) < 1e-12
+        assert abs(table[0, 1]) < 1e-12 and abs(table[1, 0]) < 1e-12
 
     def test_rows_sum_to_one(self):
         plus, minus = linalg.dichotomic_projectors(X)
-        phi = {1: [plus], -1: [minus]}
-        psi = {a: {1: plus, -1: minus} for a in (1, -1)}
+        phi = np.array([[plus], [minus]])
+        psi = np.array([[plus, minus], [plus, minus]])
         tau = linalg.random_density_matrix(2, 91)
         table = signalling_game_probability(tau, phi, channels.depolarizing(0.3), psi)
-        assert abs(sum(table.values()) - 1.0) < 1e-10
+        assert abs(table.sum() - 1.0) < 1e-10
 
     def test_signed_sum_equals_pdm_correlation(self):
         plus, minus = linalg.dichotomic_projectors(X)
-        phi = {1: [plus], -1: [minus]}
-        psi = {a: {1: plus, -1: minus} for a in (1, -1)}
+        phi = np.array([[plus], [minus]])
+        psi = np.array([[plus, minus], [plus, minus]])
         for seed in range(5):
             tau = linalg.random_density_matrix(2, seed + 300)
             memory = channels.random_channel(2, 2, seed + 400)
@@ -395,8 +409,8 @@ class TestSignallingGame:
 
     def test_depolarizing_memory_contracts(self):
         plus, minus = linalg.dichotomic_projectors(X)
-        phi = {1: [plus], -1: [minus]}
-        psi = {a: {1: plus, -1: minus} for a in (1, -1)}
+        phi = np.array([[plus], [minus]])
+        psi = np.array([[plus, minus], [plus, minus]])
         tau = PLUS
         p = 0.35
         noiseless = signed_game_correlation(
@@ -411,5 +425,32 @@ class TestSignallingGame:
         plus, _ = linalg.dichotomic_projectors(X)
         with pytest.raises(ValueError):
             signalling_game_probability(
-                PLUS, {1: [plus]}, channels.identity_channel(), {1: {1: EYE}}
+                PLUS, np.array([[plus]]), channels.identity_channel(), np.array([[EYE]])
             )
+
+    def test_one_povm_per_first_round_outcome(self):
+        plus, minus = linalg.dichotomic_projectors(X)
+        phi = np.array([[plus], [minus]])
+        with pytest.raises(ValueError, match="one per first-round outcome"):
+            signalling_game_probability(PLUS, phi, channels.identity_channel(), np.array([[plus, minus]]))
+
+    def test_incomplete_povm_rejected(self):
+        plus, minus = linalg.dichotomic_projectors(X)
+        phi = np.array([[plus], [minus]])
+        psi = np.array([[plus, minus], [plus, plus]])
+        with pytest.raises(ValueError, match="outcome 1 is incomplete"):
+            signalling_game_probability(PLUS, phi, channels.identity_channel(), psi)
+
+    def test_zero_padded_kraus_operators(self):
+        """Outcome 0 has two Kraus operators and outcome 1 one, padded by a zero matrix."""
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        flip = X @ p0
+        phi = np.array([[p0 / np.sqrt(2), flip / np.sqrt(2)], [p1, 0 * p1]])
+        psi = np.array([[p0, p1], [p0, p1]])
+        table = signalling_game_probability(np.diag([0.6, 0.4]), phi, channels.identity_channel(), psi)
+        assert np.max(np.abs(table - np.array([[0.3, 0.3], [0.0, 0.4]]))) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 3), (1, 2, 2)])
+    def test_signed_correlation_needs_a_two_by_two_table(self, shape):
+        with pytest.raises(ValueError, match="2 x 2"):
+            signed_game_correlation(np.full(shape, 0.25))

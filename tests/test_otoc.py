@@ -149,6 +149,11 @@ class TestFinalState:
         with pytest.raises(ValueError, match="s must be unitary"):
             final_state_conditional_output([1, 0], s)
 
+    @pytest.mark.parametrize("s", [np.ones((2, 2)), np.eye(2, 3), linalg.haar_random_unitary(3, 1)])
+    def test_otoc_probability_requires_a_unitary(self, s):
+        with pytest.raises(ValueError, match="s must be unitary"):
+            final_state_otoc_probability([1, 0], s)
+
 
 class TestHarmonicCorrelations:
     def test_closed_forms(self):

@@ -121,6 +121,11 @@ class TestSymmetrization:
         assert symmetrization_series(noise, 60).values == tuple(want_a)
         assert dephasing_symmetrization_series(noise, 60).values == tuple(want_b)
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
+    def test_series_hold_n_max_entries(self, n_max):
+        assert len(symmetrization_series(0.1, n_max)) == n_max
+        assert len(dephasing_symmetrization_series(0.1, n_max)) == n_max
+
     def test_fixed_point_domain(self):
         with pytest.raises(ValueError):
             symmetrization_fixed_point(0.3)
@@ -242,6 +247,11 @@ class TestLongRangeOrder:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             long_range_order_in_time([1.0, 1.0], window=5, threshold=0.1)
+
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_window_below_one_refused(self, window):
+        with pytest.raises(ValueError, match="at least 1"):
+            long_range_order_in_time([0.0, 0.0, 1.0, 1.0], window=window, threshold=0.5)
 
 
 class TestKrausFlipPredicate:
