@@ -48,9 +48,13 @@ class KrausChannel:
     )
 
     def __init__(self, operators):
-        """Take the (r, out_dim, in_dim) array, or any sequence of r equal-shape matrices."""
+        """Take the (r, out_dim, in_dim) array, or any sequence of r equal-shape matrices.
+
+        The channel holds its own read-only copy, so that ``operators`` and the superoperator
+        cached from it cannot drift apart.
+        """
         try:
-            ops = np.asarray(operators, dtype=complex)
+            ops = np.array(operators, dtype=complex)
         except ValueError:  # a ragged sequence
             raise ValueError("all Kraus operators must share one shape") from None
         if len(ops) == 0:
@@ -70,6 +74,7 @@ class KrausChannel:
                 total = _scatter(src[on_diagonal], left[on_diagonal] * right[on_diagonal], in_dim).T
         if not linalg.within(total, np.eye(in_dim), 1e-8):
             raise ValueError("Kraus operators do not sum to the identity (not CPTP)")
+        ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "in_dim", in_dim)
         object.__setattr__(self, "out_dim", out_dim)

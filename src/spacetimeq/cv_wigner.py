@@ -6,15 +6,22 @@ the Wigner function value at alpha (Royer, PRA 15, 449 (1977)). Across two
 times the value is built from the projective measurement of the parity sign
 at t1, channel evolution, and a second parity readout at t2.
 
-Every displaced parity comes from one eigendecomposition per cutoff. With
+Every displaced parity comes from one real eigendecomposition per cutoff.
+With Q = diag(i^n), Q^dag G Q = a + a^dag for the generator G = i(a^dag - a):
+a real Jacobi matrix with sqrt(n) on both off-diagonals, W Lambda W^T with W
+real orthogonal, so that G = V Lambda V^dag with V = QW. With
 R(theta) = e^{i theta n}, D(r e^{i theta}) = R(theta) D(r) R(theta)^dag holds
-exactly on the truncated space, and D(r) = V e^{-i r Lambda} V^dag where
-V Lambda V^dag = G = i(a^dag - a). G couples n only to n +/- 1, so
-Pi G Pi = -G with Pi = (-1)^n, and D(alpha)^dag = D(-alpha) holds exactly
-as well; hence D(alpha) Pi D(alpha)^dag = D(alpha) D(alpha) Pi = D(2 alpha) Pi,
-one matrix product. So U is exactly Hermitian and unitary, its parity
-projectors are (1 -/+ U)/2 (odd, even), and the signed post-measurement
-state Pi_even rho Pi_even - Pi_odd rho Pi_odd is (U rho + rho U)/2.
+exactly on the truncated space, and D(r) = V e^{-i r Lambda} V^dag, so
+
+    D(r e^{i theta}) = diag(c) W e^{-i r Lambda} W^T diag(c*),   c_n = (i e^{i theta})^n.
+
+W times a complex matrix is one real matrix product over its interleaved real
+and imaginary parts. G couples n only to n +/- 1, so Pi G Pi = -G with
+Pi = (-1)^n, and D(alpha)^dag = D(-alpha) holds exactly as well; hence
+D(alpha) Pi D(alpha)^dag = D(alpha) D(alpha) Pi = D(2 alpha) Pi, one matrix
+product. So U is exactly Hermitian and unitary, its parity projectors are
+(1 -/+ U)/2 (odd, even), and the signed post-measurement state
+Pi_even rho Pi_even - Pi_odd rho Pi_odd is (U rho + rho U)/2.
 
 Truncation notes: the displacement is the exponential of the truncated
 generator, accurate for |alpha|^2 well below n_max. The trace of the
@@ -29,7 +36,6 @@ import functools
 
 import numpy as np
 
-from spacetimeq import linalg
 from spacetimeq.channels import KrausChannel, apply
 
 #: Entries per block of radii times Fock levels in the grid sum of ``wigner_normalization_check``
@@ -46,13 +52,22 @@ def annihilation(n_max: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _generator_spectrum(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, V) with V diag(lambda) V^dag = i(a^dag - a), read-only."""
-    a = annihilation(n_max)
-    lam, v = np.linalg.eigh(1j * (linalg.dag(a) - a))
-    for array in (lam, v):
+def _generator_spectrum(n_max: int) -> tuple[np.ndarray, ...]:
+    """(lambda, W, pairs, distance, products) of one cutoff, read-only.
+
+    W diag(lambda) W^T = a + a^dag = Q^dag i(a^dag - a) Q with Q = diag(i^n), W real orthogonal
+    and Fortran-ordered, so that W^T is C-contiguous. ``pairs`` are the flat indices m n_max + n
+    of the entries with m = n (mod 4), ``distance`` their |m - n| / 4, and ``products[p, j]`` is
+    W_mj W_nj: the grid parity sum's terms, which depend on the cutoff alone.
+    """
+    a = annihilation(n_max).real
+    lam, w = np.linalg.eigh(a + a.T)
+    w = np.asfortranarray(w)
+    rows, cols = np.nonzero((np.arange(n_max)[:, None] - np.arange(n_max)) % 4 == 0)
+    kernel = (lam, w, rows * n_max + cols, np.abs(rows - cols) // 4, w[rows] * w[cols])
+    for array in kernel:
         array.flags.writeable = False
-    return lam, v
+    return kernel
 
 
 def _parity_signs(n_max: int) -> np.ndarray:
@@ -60,21 +75,31 @@ def _parity_signs(n_max: int) -> np.ndarray:
     return (-1.0) ** np.arange(n_max)
 
 
+def _rotated_exponential(alpha: complex, n_max: int, column) -> np.ndarray:
+    """diag(c) W e^{-i |alpha| Lambda} W^T diag(c* column), c_n = (i e^{i arg alpha})^n.
+
+    The phases and the column weights are folded into the right factor X, so that W X is one
+    real matrix product over X's interleaved real and imaginary parts.
+    """
+    lam, w = _generator_spectrum(n_max)[:2]
+    c = np.exp(1j * (np.angle(alpha) + np.pi / 2.0) * np.arange(n_max))
+    x = w.T * np.exp(-1j * abs(alpha) * lam)[:, None]  # C-contiguous, as the real view needs
+    x *= c.conj() * column
+    product = (w @ x.view(float)).view(complex)
+    product *= c[:, None]
+    return product
+
+
 def _parity_unitary(alpha: complex, n_max: int) -> np.ndarray:
     """U(alpha) = D(alpha) (-1)^n D(alpha)^dag = D(2 alpha) (-1)^n, Hermitian and unitary."""
     if n_max < 2:
         raise ValueError("need at least two Fock levels")
-    return displacement(2 * alpha, n_max) * _parity_signs(n_max)
+    return _rotated_exponential(2 * alpha, n_max, _parity_signs(n_max))
 
 
 def displacement(alpha: complex, n_max: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space.
-
-    With alpha = r e^{i theta} and B = R(theta) V, D(alpha) = (B e^{-i r Lambda}) B^dag.
-    """
-    lam, v = _generator_spectrum(n_max)
-    b = np.exp(1j * np.angle(alpha) * np.arange(n_max))[:, None] * v
-    return (b * np.exp(-1j * abs(alpha) * lam)) @ linalg.dag(b)
+    """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space (see the module docstring)."""
+    return _rotated_exponential(alpha, n_max, 1.0)
 
 
 def parity(n_max: int) -> np.ndarray:
@@ -94,8 +119,8 @@ def parity_projectors(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr[A B] as an elementwise sum, without forming the product."""
-    return np.sum(a * b.T)
+    """Tr[A B] as one contraction, without forming the product."""
+    return np.einsum("ij,ji->", a, b)
 
 
 def _mode_state(rho, n_max: int) -> np.ndarray:
@@ -109,8 +134,9 @@ def _mode_state(rho, n_max: int) -> np.ndarray:
 def _spacetime_wigner_complex(rho, ch: KrausChannel, alpha, beta, n_max: int) -> complex:
     rho = _mode_state(rho, n_max)
     u_alpha = _parity_unitary(alpha, n_max)
-    signed = apply(ch, (u_alpha @ rho + rho @ u_alpha) / 2.0)
-    return 4.0 * _trace_product(_parity_unitary(beta, n_max), signed)
+    # twice the signed state: 4 Tr[U E(X/2)] = 2 Tr[U E(X)] exactly
+    signed = apply(ch, u_alpha @ rho + rho @ u_alpha)
+    return 2.0 * _trace_product(_parity_unitary(beta, n_max), signed)
 
 
 def spacetime_wigner_point(rho, ch: KrausChannel, alpha, beta, n_max: int) -> float:
@@ -147,15 +173,17 @@ def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:
     angles of a radius sum to one phase c_r(d) per offset d = |m - n|, real because the
     grid is symmetric under theta -> -theta. The grid is also invariant under quarter
     turns, which multiply the phase by i^d, so c_r(d) = 0 unless 4 divides d (the centre
-    cell of an odd grid has no angle, but D(0) = 1 has no off-diagonal entries) and S
-    splits into the blocks m = n (mod 4). For such d, cos(d theta) is invariant under
-    the whole dihedral symmetry of the grid, so only the octant 0 <= ky <= kx is
-    enumerated, each cell weighted by its orbit: 8 inside, 4 on the diagonal or the
-    axis, 1 at the centre. With D(2r) = V e^{-2i r Lambda} V^dag,
+    cell of an odd grid has no angle, but D(0) = 1 has no off-diagonal entries): only the
+    entries m = n (mod 4) are nonzero. For such d, cos(d theta) is invariant under the
+    whole dihedral symmetry of the grid, so only the octant 0 <= ky <= kx is enumerated,
+    each cell weighted by its orbit: 8 inside, 4 on the diagonal or the axis, 1 at the
+    centre. With D(2r) = V e^{-2i r Lambda} V^dag and V_mj V*_nj = i^{m - n} W_mj W_nj,
+    where i^{m - n} = 1 on those entries,
 
-        S_mn = sum_j V_mj V*_nj F(|m - n|, j),   F(d, j) = sum_r c_r(d) e^{-2i r lambda_j},
+        S_mn = sum_j W_mj W_nj F_{|m - n| / 4}(j),   F_k(j) = sum_r c_r(4k) e^{-2i r lambda_j},
 
-    so the radii meet in one product C^T E for the whole grid, and the parity's column
+    so the radii meet in one product C^T E per block of radii, every same-residue pair in
+    one contraction with the cutoff's cached products W_mj W_nj, and the parity's column
     signs are applied once to the sum.
     """
     if not radius >= 0:
@@ -172,7 +200,7 @@ def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:
     h = 2.0 * radius / points
     radii = 0.5 * h * np.sqrt(keys)
 
-    lam, v = _generator_spectrum(n_max)
+    lam, _, pairs, distance, products = _generator_spectrum(n_max)
     offsets = np.arange(0, n_max, 4)
     bounds = np.append(starts, len(order))
     f = np.zeros((len(offsets), n_max), dtype=complex)
@@ -183,12 +211,9 @@ def _grid_parity_sum(radius: float, points: int, n_max: int) -> np.ndarray:
         cosines = weight[cells, None] * np.cos(np.outer(theta[cells], offsets))
         phases = np.add.reduceat(cosines, starts[lo:hi] - starts[lo], axis=0)
         f += phases.T @ np.exp(-2j * np.outer(radii[lo:hi], lam))
-    total = np.zeros((n_max, n_max), dtype=complex)
-    for first in range(min(4, n_max)):
-        idx = np.arange(first, n_max, 4)
-        distance = np.abs(idx[:, None] - idx[None, :]) // 4
-        total[np.ix_(idx, idx)] = np.einsum("aj,abj,bj->ab", v[idx], f[distance], v[idx].conj())
-    return total * (_parity_signs(n_max) * (h * h / np.pi))
+    total = np.zeros(n_max * n_max, dtype=complex)
+    total[pairs] = np.einsum("pj,pj->p", products, f[distance])
+    return total.reshape(n_max, n_max) * (_parity_signs(n_max) * (h * h / np.pi))
 
 
 def wigner_normalization_check(
@@ -202,7 +227,7 @@ def wigner_normalization_check(
 
     The double phase-space sum factorizes exactly through the trace and the
     linearity of the channel: with S = sum_alpha U(alpha) cell / pi, the
-    value is 4 Tr[S E((S rho + rho S)/2)]. Expected close to 1 for
+    value is 4 Tr[S E((S rho + rho S)/2)] = 2 Tr[S E(S rho + rho S)]. Expected close to 1 for
     trace-preserving evolution.
 
     Pick the radius so the state's tail mass beyond it is negligible while
@@ -211,7 +236,7 @@ def wigner_normalization_check(
     """
     rho = _mode_state(rho, n_max)
     s = _grid_parity_sum(radius, points, n_max)
-    value = 4.0 * _trace_product(s, apply(ch, (s @ rho + rho @ s) / 2.0))
+    value = 2.0 * _trace_product(s, apply(ch, s @ rho + rho @ s))
     return float(np.real(value))
 
 

@@ -39,8 +39,11 @@ class GaussianState:
             raise ValueError("mean must be a vector of even length")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean vector")
-        # not linalg.within: an overflowing covariance, symmetric with equal infinities, must reach the CLI's payload guard
-        if not np.allclose(cov, cov.T, atol=1e-10, rtol=0.0):
+        # equal entries first: an overflowing covariance, symmetric with equal infinities, must reach
+        # the CLI's payload guard; a NaN fails both tests
+        with np.errstate(invalid="ignore", over="ignore"):
+            symmetric = (cov == cov.T) | (np.abs(cov - cov.T) <= 1e-10)
+        if not symmetric.all():
             raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -208,7 +211,8 @@ def temporal_gaussian(
 
     sig1 = initial.cov
     cross = sig1 @ s.T
-    cov = np.block([[sig1, cross], [cross.T, s @ sig1 @ s.T + y]])
+    cov = np.empty((4, 4))
+    cov[:2, :2], cov[:2, 2:], cov[2:, :2], cov[2:, 2:] = sig1, cross, cross.T, s @ sig1 @ s.T + y
     cov = (cov + cov.T) / 2.0
     return SpacetimeGaussian(np.concatenate([initial.mean, s @ initial.mean]), cov)
 

@@ -229,11 +229,15 @@ def signalling_game_probability(tau_x, phi, memory: KrausChannel, psi) -> np.nda
     d = tau.shape[0]
     if not linalg.within((dag(phi) @ phi).sum(axis=(0, 1)), np.eye(d), 1e-8):
         raise ValueError("first-round instrument is not trace preserving overall")
+    d_out = memory.out_dim
+    if psi.ndim != 4 or psi.shape[2:] != (d_out, d_out):
+        raise ValueError(f"psi must be shaped (k_a, k_b, {d_out}, {d_out}), effects on the memory's "
+                         f"output, got {psi.shape}")
     if len(psi) != len(phi):
         raise ValueError(f"psi holds {len(psi)} second-round POVMs, one per first-round outcome, "
                          f"but phi has {len(phi)} outcomes")
     for a, povm in enumerate(psi):
-        if not linalg.within(povm.sum(axis=0), np.eye(memory.out_dim), 1e-8):
+        if not linalg.within(povm.sum(axis=0), np.eye(d_out), 1e-8):
             raise ValueError(f"second-round POVM for outcome {a} is incomplete")
     branches = (phi @ tau @ dag(phi)).sum(axis=1)  # outcome a's unnormalized state
     evolved = np.array([apply(memory, branch) for branch in branches])

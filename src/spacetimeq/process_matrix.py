@@ -215,12 +215,17 @@ def identity_process(u: np.ndarray | None = None) -> ProcessMatrix:
 def pauli_measure_forward_instrument(i: int) -> Instrument:
     """Measure sigma_i and forward the post-measurement eigenstate; outcome 0 is +1, outcome 1 is -1.
 
-    The Choi matrix of X -> P X P is P^T (x) P, so the transposed input leg
-    is part of the operator; for X and Z projectors the transpose is
-    invisible and the signed sum collapses to (1 (x) sigma + sigma (x) 1)/2,
-    while Y keeps the extra transpose.
+    For a rank-one projector P the Choi matrix of X -> P X P is P^T (x) P, so the
+    transposed input leg is part of the operator; for X and Z projectors the transpose
+    is invisible and the signed sum collapses to (1 (x) sigma + sigma (x) 1)/2, while Y
+    keeps the extra transpose. Index 0 is the unmeasured event: its outcome is always
+    +1 and it forwards the system, the identity channel ``maxent_choi()`` (1^T (x) 1
+    would be X -> Tr(X) 1).
     """
-    plus, minus = linalg.dichotomic_projectors(linalg.pauli_string_matrix([i]))
+    sigma = linalg.pauli_string_matrix([i])  # refuses an index outside 0..3
+    if i == 0:
+        return Instrument(ops=[[maxent_choi()], [np.zeros((4, 4))]])
+    plus, minus = linalg.dichotomic_projectors(sigma)
     return Instrument(ops=[[linalg.tensor(plus.T, plus)], [linalg.tensor(minus.T, minus)]])
 
 

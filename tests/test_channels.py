@@ -128,6 +128,23 @@ class TestConstructors:
         out = apply_n(ch, rho, 7)
         assert abs(np.trace(X @ out) - 0.8**7) < 1e-12
 
+    def test_channel_keeps_its_own_copy(self):
+        # a column-sparse family (applied through its cached superoperator) and a dense one
+        rho = np.outer(KET0, KET0.conj())
+        for ops in (depolarizing(0.4).operators.copy(), linalg.haar_random_unitary(2, 3)[None].copy()):
+            ch = KrausChannel(ops)
+            before = apply(ch, rho)
+            ops[:] = 0.0
+            ops[0] = I2
+            assert_allclose(apply(ch, rho), before, atol=1e-15)
+            kraus_sum = np.einsum("kab,bc,kdc->ad", ch.operators, rho, ch.operators.conj())
+            assert_allclose(kraus_sum, before, atol=1e-15)
+
+    def test_operators_are_read_only(self):
+        ch = depolarizing(0.4)
+        with pytest.raises(ValueError):
+            ch.operators[0] = I2
+
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValueError):
             KrausChannel([0.5 * I2])

@@ -123,6 +123,14 @@ class TestPayloads:
         assert payload["params"]["seed"] == 5
         assert abs(payload["correlation"] - payload["closed_form"]) < 1e-10
 
+    def test_correlate_unmeasured_events(self, capsys):
+        # I at both events is the unmeasured event twice: the identity correlation, 1
+        code, out, _ = run(capsys, "process", "correlate", "--u", "identity", "--i", "I", "--j", "I")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["correlation"] == pytest.approx(1.0, abs=1e-12)
+        assert payload["closed_form"] == 1.0
+
 
 class TestHistoriesConsistent:
     @pytest.mark.parametrize("argv,weak,strong", [

@@ -72,7 +72,8 @@ def full_grid_parity_sum(radius, points, n_max):
     phases = np.zeros((len(keys), len(offsets)))
     np.add.at(phases, which, np.cos(np.outer(np.arctan2(ky[inside], kx[inside]), offsets)))
     h = 2.0 * radius / points
-    lam, v = cv_wigner._generator_spectrum(n_max)
+    a = cv_wigner.annihilation(n_max)
+    lam, v = np.linalg.eigh(1j * (linalg.dag(a) - a))  # the complex eigenbasis, independent of the kernel's
     f = phases.T @ np.exp(-2j * np.outer(0.5 * h * np.sqrt(keys), lam))
     total = np.zeros((n_max, n_max), dtype=complex)
     for first in range(min(4, n_max)):
@@ -172,9 +173,21 @@ class TestKernels:
         assert np.max(np.abs(d[:6, :6] - want)) < 1e-10
 
     def test_kernel_arrays_are_read_only(self):
-        for array in cv_wigner._generator_spectrum(7):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        # the spectrum, the real eigenbasis and the grid sum's per-cutoff pair arrays
+        for n_max in (7, 12):
+            for array in cv_wigner._generator_spectrum(n_max):
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    @settings(max_examples=43, deadline=None, derandomize=True)
+    @given(st.integers(2, 44))
+    def test_real_eigenbasis_diagonalizes_the_generator(self, n_max):
+        lam, w = cv_wigner._generator_spectrum(n_max)[:2]
+        assert w.dtype == np.float64
+        assert np.max(np.abs(w.T @ w - np.eye(n_max))) < 1e-12
+        a = cv_wigner.annihilation(n_max)
+        v = np.diag(1j ** np.arange(n_max)) @ w
+        assert np.max(np.abs(linalg.dag(v) @ (1j * (linalg.dag(a) - a)) @ v - np.diag(lam))) < 1e-12
 
 
 # -- the Wigner values --------------------------------------------------------------

@@ -60,6 +60,25 @@ class TestConstructors:
         for state in (vacuum(), thermal(0.5), thermal(4.0), two_mode_squeezed(1.3)):
             assert uncertainty_ok(state.cov)
 
+    def test_symmetry_accepts_equal_infinities(self):
+        # an overflowing covariance, symmetric with equal infinities, reaches the CLI's payload guard
+        inf = float("inf")
+        state = GaussianState(np.zeros(2), [[inf, inf], [inf, 1.0]])
+        assert np.isinf(state.cov[0, 1])
+
+    @pytest.mark.parametrize("cov", [
+        [[1.0, float("nan")], [float("nan"), 1.0]],
+        [[1.0, 0.5 + 2e-10], [0.5, 1.0]],
+        [[1.0, float("inf")], [-float("inf"), 1.0]],
+        [[1.0, 1e308], [-1e308, 1.0]],
+    ])
+    def test_symmetry_refuses_nan_and_asymmetry(self, cov):
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianState(np.zeros(2), cov)
+
+    def test_symmetry_accepts_an_asymmetry_within_tolerance(self):
+        GaussianState(np.zeros(2), [[1.0, 0.5 + 5e-11], [0.5, 1.0]])
+
     def test_symplectic_form(self):
         omega = symplectic_form(2)
         assert_allclose(omega.T, -omega)

@@ -434,6 +434,13 @@ class TestSignallingGame:
         with pytest.raises(ValueError, match="one per first-round outcome"):
             signalling_game_probability(PLUS, phi, channels.identity_channel(), np.array([[plus, minus]]))
 
+    @pytest.mark.parametrize("psi", [np.array([[np.eye(3), 0 * np.eye(3)]] * 2), np.array([EYE, EYE])])
+    def test_effects_must_act_on_the_memory_output(self, psi):
+        plus, minus = linalg.dichotomic_projectors(X)
+        phi = np.array([[plus], [minus]])
+        with pytest.raises(ValueError, match=r"psi must be shaped \(k_a, k_b, 2, 2\)"):
+            signalling_game_probability(PLUS, phi, channels.identity_channel(), psi)
+
     def test_incomplete_povm_rejected(self):
         plus, minus = linalg.dichotomic_projectors(X)
         phi = np.array([[plus], [minus]])

@@ -198,8 +198,8 @@ class TestCorrelations:
         for seed in range(20):
             u = linalg.haar_random_unitary(2, seed)
             w = identity_process(u=u)
-            for i in (1, 2, 3):
-                for j in (1, 2, 3):
+            for i in range(4):  # index 0 is the unmeasured event
+                for j in range(4):
                     got = pauli_pair_correlation(w, i, j)
                     want = 0.5 * np.real(np.trace(PAULIS[j] @ u @ PAULIS[i] @ dag(u)))
                     assert abs(got - want) < 1e-12
